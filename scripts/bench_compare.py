@@ -43,14 +43,14 @@ the committed baseline predates the ``ps`` section, ``--skip-ps``
 is the explicit escape hatch.
 
 A fifth gate rides the same fresh ps runs and guards the *wire
-economics* of the batched protocol: pull round-trips per applied
-update must be at least ``--ps-roundtrip-threshold`` times lower than
-the committed baseline (default 3.0 — the legacy per-shard protocol
-paid one round-trip per shard per item, 3-8x), and server->worker
-bytes per update must not be above the baseline's.  Counter ratios,
-not timings, so they are deterministic per dataset shape; baselines
-that predate ``ps.pull_rounds`` fall back to ``ps.pulls`` (under the
-per-shard protocol every answered shard was one round-trip).
+economics* of the batched protocol with absolute invariants on the
+fresh counters — nothing is compared against the committed snapshot,
+so the gate cannot pin itself to stale code: pull round-trips per
+applied update must stay at or under 1.05 (one fused round-trip per
+work item), and wire bytes per update (both directions) at or under
+the layout bound — one request (frame header + push payload + version
+vector) plus one reply shipping the full model.  Counter ratios, not
+timings, so they are deterministic per dataset shape.
 
 Usage::
 
@@ -173,15 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="skip the parameter-server throughput gate (escape hatch for "
         "1-cpu hosts, where node processes only time-share)",
-    )
-    parser.add_argument(
-        "--ps-roundtrip-threshold",
-        type=float,
-        default=3.0,
-        help="minimum required improvement factor in ps pull round-trips "
-        "per applied update over the committed baseline (default 3.0: the "
-        "batched protocol must cost at least 3x fewer round-trips per "
-        "update than the snapshot's)",
     )
     parser.add_argument(
         "--report-dir",
@@ -371,56 +362,61 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
 
-        def _wire_cost(point: dict) -> tuple[float, float] | None:
-            """(round-trips, server bytes) per update from one ps point.
+        import numpy as np
 
-            Pre-batching baselines have no ``ps.pull_rounds``; their
-            ``ps.pulls`` was one blocking round-trip per answered shard,
-            so it is the correct fallback.
+        import repro
+        from bench_snapshot import MEASURED_EPOCHS, SCALE
+        from repro.distributed.protocol import HEADER_BYTES
+
+        def _layout_bound(dataset: str, point: dict, updates: float) -> float:
+            """Total wire bytes *updates* applied updates may cost.
+
+            Per update: a PUSH_PULL request (header, push length, the
+            largest push the data can produce at batch_size=1, version
+            vector) plus a SHARDS reply that ships every shard fresh.
+            On top, the run's fixed frames — per node: HELLO, its
+            22-byte ack, BYE, an EPOCH_DONE/EPOCH_ACK pair per barrier
+            (registration included), and one more header per epoch,
+            whose opening pull and closing push travel unfused.
             """
-            counters = point.get("counters") or {}
-            updates = counters.get("sgd.updates_applied")
-            rounds = counters.get("ps.pull_rounds", counters.get("ps.pulls"))
-            sent = counters.get("ps.bytes_sent")
-            if not updates or rounds is None or sent is None:
-                return None
-            return rounds / updates, sent / updates
+            X = repro.load(dataset, SCALE).X
+            shards = point["shards"]
+            if hasattr(X, "indptr"):
+                push = 1 + 4 + 16 * int(np.diff(X.indptr).max())
+            else:
+                push = 1 + 8 * X.shape[1]
+            request = HEADER_BYTES + 4 + push + 2 + 8 * shards
+            reply = HEADER_BYTES + 2 + 9 * shards + 8 * X.shape[1]
+            fixed = point["nodes"] * (
+                22 + (3 + 2 * (MEASURED_EPOCHS + 1) + MEASURED_EPOCHS) * HEADER_BYTES
+            )
+            return (request + reply) * updates + fixed
 
         print(
             "\nps wire-economics gate "
-            f"(>= {args.ps_roundtrip_threshold:.1f}x fewer round-trips/update, "
-            "bytes/update not above baseline):"
+            "(round-trips/update <= 1.05, bytes/update <= layout bound):"
         )
         wire_failures = []
         for task, dataset in GRID:
-            old = committed_ps.get((task, dataset))
-            old_cost = (
-                _wire_cost(old["points"][-1]) if old and old.get("points") else None
-            )
-            if old_cost is None:
-                print(f"  SKIP  {task}/{dataset}: baseline lacks wire counters")
-                continue
-            new_cost = _wire_cost(fresh_ps_runs[(task, dataset)]["points"][-1])
-            if new_cost is None:  # pragma: no cover - fresh runs always count
-                print(f"  SKIP  {task}/{dataset}: fresh run lacks wire counters")
-                continue
-            old_rpu, old_bpu = old_cost
-            new_rpu, new_bpu = new_cost
-            improvement = old_rpu / new_rpu if new_rpu > 0 else float("inf")
+            point = fresh_ps_runs[(task, dataset)]["points"][-1]
+            counters = point["counters"]
+            updates = counters["sgd.updates_applied"]
+            rpu = counters["ps.pull_rounds"] / updates
+            wire_bytes = counters["ps.bytes_sent"] + counters["ps.bytes_received"]
+            bound = _layout_bound(dataset, point, updates)
             status = "OK"
-            if improvement < args.ps_roundtrip_threshold or new_bpu > old_bpu:
+            if rpu > 1.05 or wire_bytes > bound:
                 status = "FAIL"
-                wire_failures.append((task, dataset, improvement, new_bpu, old_bpu))
+                wire_failures.append((task, dataset))
             print(
-                f"  {status:<5} {task}/{dataset}: round-trips/update "
-                f"{old_rpu:.2f} -> {new_rpu:.2f} ({improvement:.1f}x fewer), "
-                f"bytes/update {old_bpu:.0f} -> {new_bpu:.0f}"
+                f"  {status:<5} {task}/{dataset}: round-trips/update {rpu:.3f}, "
+                f"bytes/update {wire_bytes / updates:.1f} "
+                f"(bound {bound / updates:.1f})"
             )
         if wire_failures:
             print(
-                f"ps wire gate FAILED: {len(wire_failures)} task(s) short of "
-                f"the {args.ps_roundtrip_threshold:.1f}x round-trip reduction "
-                "or above baseline bytes/update"
+                f"ps wire gate FAILED: {len(wire_failures)} task(s) above 1.05 "
+                "round-trips/update or the layout bound on bytes/update"
             )
             return 1
 

@@ -108,8 +108,8 @@ class FaultyWire:
 
     # -- pass-throughs ------------------------------------------------------
 
-    def recv(self, n: int) -> bytes:
-        return self.raw.recv(n)
+    def recv_into(self, buffer) -> int:
+        return self.raw.recv_into(buffer)
 
     def close(self) -> None:
         if self.raw is not None:

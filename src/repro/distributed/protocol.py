@@ -11,10 +11,10 @@ and dominate the hot loop with parsing.  Every message is one frame::
     +-------+------+--------+-------------+--------+-------+===========+
 
 (big-endian, 20-byte header).  ``ident`` is a small type-specific slot
-— the shard id for PULL/SHARD, the worker id for HELLO, the row count
-for PUSH — and ``clock`` carries the message's logical time: the
-worker's completed-work-item counter on PULL/PUSH, the shard's version
-on SHARD, the epoch on EPOCH_DONE/EPOCH_ACK.  ``crc`` is the CRC32 of
+— the worker id for HELLO, the row count for PUSH — and ``clock``
+carries the message's logical time: the worker's completed-work-item
+counter on PULL_ALL/PUSH, the epoch on EPOCH_DONE/EPOCH_ACK.  ``crc``
+is the CRC32 of
 the 16 header bytes before it plus the entire payload: a flipped bit
 anywhere in the frame is *detected and rejected* as a structured
 :class:`WireProtocolError`, never decoded as garbage floats — a
@@ -38,25 +38,19 @@ Message types
     holds for this worker id (0 for a fresh registration) — a
     reconnecting worker rewinds to it and replays from there, so the
     in-flight item whose push never landed is recomputed, never lost.
-``PULL`` (worker -> server)
-    Request shard ``ident``; ``clock`` is the worker's completed-item
-    count, which the bounded-staleness gate compares against the
-    slowest live worker before answering.  Answered by ``SHARD``
-    carrying the shard's float64 parameters and its version.  Legacy
-    single-shard path — the training loop uses ``PULL_ALL`` /
-    ``PUSH_PULL`` so one work item costs one round-trip, not one per
-    shard.
 ``PULL_ALL`` (worker -> server)
     Request *every* shard in a single round-trip.  The payload is the
     worker's last-seen version vector (:func:`pack_versions`); the
     server answers with one ``SHARDS`` frame in which any shard whose
     version still matches is a tiny cached header instead of its
-    payload.  ``clock`` feeds the staleness gate exactly like PULL.
+    payload.  ``clock`` is the worker's completed-item count, which
+    the bounded-staleness gate compares against the slowest live
+    worker before answering.
 ``SHARDS`` (server -> worker)
-    The scatter-gathered multi-shard reply to ``PULL_ALL`` or
-    ``PUSH_PULL``: per shard a ``(cached?, version)`` header, followed
-    by the float64 payload only when the worker's cached copy is out
-    of date (:func:`pack_shard_entries` / :func:`unpack_shards`).
+    The multi-shard reply to ``PULL_ALL`` or ``PUSH_PULL``: per shard
+    a ``(cached?, version)`` header, followed by the float64 payload
+    only when the worker's cached copy is out of date
+    (:func:`pack_shard_entries` / :func:`unpack_shards`).
 ``PUSH`` (worker -> server, no ack)
     Apply one work item's delta; ``ident`` is the item's row count,
     ``clock`` the worker's item counter *after* the item.  The payload
@@ -129,8 +123,6 @@ __all__ = [
     "HELLO_MIDRUN",
     "MSG_HELLO",
     "MSG_HELLO_ACK",
-    "MSG_PULL",
-    "MSG_SHARD",
     "MSG_PUSH",
     "MSG_EPOCH_DONE",
     "MSG_EPOCH_ACK",
@@ -151,8 +143,8 @@ __all__ = [
     "Frame",
     "pack_frame",
     "send_frame",
-    "send_frame_parts",
     "recv_frame",
+    "FrameReader",
     "pack_hello_ack",
     "unpack_hello_ack",
     "pack_push",
@@ -185,7 +177,7 @@ _HEAD_CRC = struct.Struct("!I")  # CRC32 over the fields above + payload
 _HELLO_ACK = struct.Struct("!QHiQ")  # n_params, n_shards, max_staleness, resume
 _VERSIONS_HEAD = struct.Struct("!H")  # shard count, then u64 versions
 _SHARD_ENTRY = struct.Struct("!BQ")  # cached flag, version
-_PUSH_LEN = struct.Struct("!I")  # push-payload bytes inside PUSH_PULL
+_PUSH_LEN = struct.Struct("!I")  # sparse entry count / PUSH_PULL push bytes
 
 #: Total frame-header bytes on the wire (field prefix + CRC32).
 HEADER_BYTES = _HEAD_FIELDS.size + _HEAD_CRC.size
@@ -197,8 +189,7 @@ HELLO_MIDRUN = 0x01
 
 MSG_HELLO = 1
 MSG_HELLO_ACK = 2
-MSG_PULL = 3
-MSG_SHARD = 4
+# 3 and 4 were the single-shard PULL/SHARD pair; retired, never reused.
 MSG_PUSH = 5
 MSG_EPOCH_DONE = 6
 MSG_EPOCH_ACK = 7
@@ -219,7 +210,7 @@ MSG_CTRL_SHUTDOWN = 19
 #: stays out of the ``ps.bytes_*`` training-traffic accounting).
 CTRL_TYPES = frozenset(range(MSG_CTRL_STATUS, MSG_CTRL_SHUTDOWN + 1))
 
-_KNOWN_TYPES = frozenset(range(MSG_HELLO, MSG_CTRL_SHUTDOWN + 1))
+_KNOWN_TYPES = frozenset(range(MSG_HELLO, MSG_CTRL_SHUTDOWN + 1)) - {3, 4}
 
 
 class WireProtocolError(DataFormatError):
@@ -266,81 +257,33 @@ def send_frame(
     return len(buf)
 
 
-def send_frame_parts(
-    sock: socket.socket,
-    msg_type: int,
-    parts: list[bytes],
-    *,
-    ident: int = 0,
-    clock: int = 0,
-) -> int:
-    """Write one frame whose payload is scattered over *parts*.
-
-    The multi-shard reply is assembled as a list of small headers and
-    (borrowed, zero-copy) shard buffers; ``sendmsg`` gathers them in
-    one syscall instead of concatenating megabytes first.  The CRC is
-    accumulated incrementally over the parts, so the gather path pays
-    one extra pass over the bytes but still never copies them.
-    Returns the bytes put on the wire.
-    """
-    total = sum(len(p) for p in parts)
-    fields = _HEAD_FIELDS.pack(MAGIC, msg_type, ident, total, clock)
-    crc = zlib.crc32(fields)
-    for p in parts:
-        crc = zlib.crc32(p, crc)
-    header = fields + _HEAD_CRC.pack(crc)
-    nbytes = HEADER_BYTES + total
-    buffers: list[memoryview] = [memoryview(header)]
-    buffers.extend(memoryview(p) for p in parts)
-    sent = 0
-    while sent < nbytes:
-        n = sock.sendmsg(buffers)
-        sent += n
-        if sent >= nbytes:
-            break
-        # A partial gather write: drop the fully-written buffers and
-        # trim the one the kernel stopped inside.
-        while n:
-            if n >= len(buffers[0]):
-                n -= len(buffers[0])
-                buffers.pop(0)
-            else:
-                buffers[0] = buffers[0][n:]
-                n = 0
-    return nbytes
-
-
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     """Read exactly *n* bytes; ``None`` on EOF before the first byte."""
+    chunk = sock.recv(min(n, 1 << 20))
+    if len(chunk) == n:
+        return chunk  # the common case: no list, no join
     chunks: list[bytes] = []
     got = 0
-    while got < n:
-        chunk = sock.recv(min(n - got, 1 << 20))
-        if not chunk:
-            if got == 0:
-                return None
-            raise WireProtocolError(
-                f"connection closed mid-frame ({got} of {n} bytes)"
-            )
+    while chunk:
         chunks.append(chunk)
         got += len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> Frame | None:
-    """Read one frame; ``None`` on a clean EOF at a frame boundary.
-
-    Validation order: magic, type, size cap (all from the plain header
-    fields — cheap rejects for peers not speaking the protocol at
-    all), then the payload read, then the CRC over header fields +
-    payload.  Only a checksum-clean frame is ever handed to a decoder,
-    so a corrupted push is *rejected*, never applied as garbage floats.
-    """
-    head = _recv_exact(sock, HEADER_BYTES)
-    if head is None:
+        if got == n:
+            return b"".join(chunks)
+        chunk = sock.recv(min(n - got, 1 << 20))
+    if got == 0:
         return None
-    magic, msg_type, ident, length, clock = _HEAD_FIELDS.unpack_from(head)
-    (crc,) = _HEAD_CRC.unpack_from(head, _HEAD_FIELDS.size)
+    raise WireProtocolError(f"connection closed mid-frame ({got} of {n} bytes)")
+
+
+def _parse_header(buf, offset: int = 0) -> tuple[int, int, int, int, int]:
+    """Validate the frame header at *offset*; returns ``(type, ident,
+    length, clock, crc)``.
+
+    Magic, type, size cap — all from the plain header fields, cheap
+    rejects for peers not speaking the protocol at all, and all before
+    a single payload byte is read or buffered.
+    """
+    magic, msg_type, ident, length, clock = _HEAD_FIELDS.unpack_from(buf, offset)
     if magic != MAGIC:
         raise WireProtocolError(
             f"bad magic byte 0x{magic:02x} (expected 0x{MAGIC:02x}); "
@@ -353,18 +296,109 @@ def recv_frame(sock: socket.socket) -> Frame | None:
             f"frame payload of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
-    payload = _recv_exact(sock, length) if length else b""
-    if length and payload is None:
-        raise WireProtocolError("connection closed before the frame payload")
-    payload = payload or b""
-    want = zlib.crc32(payload, zlib.crc32(head[: _HEAD_FIELDS.size]))
+    (crc,) = _HEAD_CRC.unpack_from(buf, offset + _HEAD_FIELDS.size)
+    return msg_type, ident, length, clock, crc
+
+
+def _check_crc(fields, payload, crc: int, msg_type: int) -> None:
+    want = zlib.crc32(payload, zlib.crc32(fields))
     if crc != want:
         raise WireProtocolError(
-            f"frame checksum mismatch (type {msg_type}, {length}-byte "
+            f"frame checksum mismatch (type {msg_type}, {len(payload)}-byte "
             f"payload): got 0x{crc:08x}, computed 0x{want:08x} — frame "
             "rejected, not applied"
         )
+
+
+def recv_frame(sock: socket.socket) -> Frame | None:
+    """Read one frame; ``None`` on a clean EOF at a frame boundary.
+
+    Validation order: magic, type, size cap (:func:`_parse_header`),
+    then the payload read, then the CRC over header fields + payload.
+    Only a checksum-clean frame is ever handed to a decoder, so a
+    corrupted push is *rejected*, never applied as garbage floats.
+
+    Reads exactly one frame's bytes (two ``recv`` calls), so it is safe
+    on a socket nothing else buffers; a connection's steady reader uses
+    :class:`FrameReader`, which applies the same checks to a buffer.
+    """
+    head = _recv_exact(sock, HEADER_BYTES)
+    if head is None:
+        return None
+    msg_type, ident, length, clock, crc = _parse_header(head)
+    payload = _recv_exact(sock, length) if length else b""
+    if payload is None:
+        raise WireProtocolError("connection closed before the frame payload")
+    _check_crc(head[: _HEAD_FIELDS.size], payload, crc, msg_type)
     return Frame(msg_type, ident, clock, payload, HEADER_BYTES + length)
+
+
+class FrameReader:
+    """Buffered frame decoder for one connection: one syscall per frame.
+
+    ``recv_into`` fills a preallocated buffer with whatever the kernel
+    holds — usually a whole frame, sometimes several, sometimes a
+    fragment — and :meth:`read` parses header, payload and CRC out of
+    it with the checks and order of :func:`recv_frame`.  Bytes past the
+    returned frame stay buffered for the next call, so a reader belongs
+    to exactly one socket: a redial gets a fresh reader, never the old
+    connection's unread tail.
+    """
+
+    __slots__ = ("_sock", "_buf", "_view", "_start", "_end")
+
+    def __init__(self, sock, size: int = 1 << 16) -> None:
+        self._sock = sock
+        self._buf = bytearray(size)
+        self._view = memoryview(self._buf)
+        self._start = 0  # first unparsed byte
+        self._end = 0  # one past the last received byte
+
+    def _fill(self, need: int) -> bool:
+        """Buffer at least *need* unparsed bytes; ``False`` on EOF with
+        none buffered (a clean frame boundary)."""
+        have = self._end - self._start
+        if self._start + need > len(self._buf):
+            # Slide the unparsed tail to the front; grow only for a
+            # frame larger than the buffer (its length already passed
+            # the MAX_FRAME_BYTES check).
+            tail = bytes(self._view[self._start : self._end])
+            if need > len(self._buf):
+                self._view.release()
+                self._buf = bytearray(need)
+                self._view = memoryview(self._buf)
+            self._view[:have] = tail
+            self._start, self._end = 0, have
+        while have < need:
+            n = self._sock.recv_into(self._view[self._end :])
+            if not n:
+                if have == 0:
+                    return False
+                raise WireProtocolError(
+                    f"connection closed mid-frame ({have} of {need} bytes)"
+                )
+            self._end += n
+            have += n
+        return True
+
+    def read(self) -> Frame | None:
+        """Next frame; ``None`` on a clean EOF at a frame boundary."""
+        if not self._fill(HEADER_BYTES):
+            return None
+        msg_type, ident, length, clock, crc = _parse_header(self._buf, self._start)
+        nbytes = HEADER_BYTES + length
+        self._fill(nbytes)
+        start = self._start  # _fill may have slid the buffer
+        end = start + nbytes
+        payload = bytes(self._view[start + HEADER_BYTES : end])
+        _check_crc(
+            self._view[start : start + _HEAD_FIELDS.size], payload, crc, msg_type
+        )
+        if end == self._end:
+            self._start = self._end = 0
+        else:
+            self._start = end
+        return Frame(msg_type, ident, clock, payload, nbytes)
 
 
 # -- typed payload helpers --------------------------------------------------
@@ -409,7 +443,9 @@ def pack_push(
         return b"\x01" + np.ascontiguousarray(values, dtype=np.float64).tobytes()
     idx = np.ascontiguousarray(indices, dtype=np.int64)
     val = np.ascontiguousarray(values, dtype=np.float64)
-    return b"\x00" + struct.pack("!I", idx.shape[0]) + idx.tobytes() + val.tobytes()
+    return b"".join(
+        (b"\x00", _PUSH_LEN.pack(idx.shape[0]), idx.tobytes(), val.tobytes())
+    )
 
 
 def pack_push_empty() -> bytes:
@@ -432,30 +468,32 @@ def unpack_push(payload: bytes) -> tuple[np.ndarray | None, np.ndarray]:
     if not payload:
         raise WireProtocolError("empty PUSH payload")
     flag = payload[0]
-    body = payload[1:]
+    size = len(payload) - 1
     if flag == 0x02:
-        if body:
+        if size:
             raise WireProtocolError(
-                f"empty-delta PUSH carries {len(body)} payload byte(s)"
+                f"empty-delta PUSH carries {size} payload byte(s)"
             )
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     if flag == 0x01:
-        if len(body) % 8:
+        if size % 8:
             raise WireProtocolError("dense PUSH payload is not float64-aligned")
-        return None, np.frombuffer(body, dtype=np.float64)
+        return None, np.frombuffer(payload[1:], dtype=np.float64)
     if flag != 0x00:
         raise WireProtocolError(f"unknown PUSH flag 0x{flag:02x}")
-    if len(body) < 4:
+    if size < 4:
         raise WireProtocolError("truncated sparse PUSH payload")
-    (n,) = struct.unpack("!I", body[:4])
+    (n,) = _PUSH_LEN.unpack_from(payload, 1)
     need = 4 + n * 8 + n * 8
-    if len(body) != need:
+    if size != need:
         raise WireProtocolError(
-            f"sparse PUSH payload of {len(body)} bytes does not match "
+            f"sparse PUSH payload of {size} bytes does not match "
             f"its {n}-entry header (expected {need})"
         )
-    idx = np.frombuffer(body[4 : 4 + n * 8], dtype=np.int64)
-    val = np.frombuffer(body[4 + n * 8 :], dtype=np.float64)
+    # Sliced copies, not offset views: the arrays stay 8-byte aligned.
+    split = 5 + n * 8
+    idx = np.frombuffer(payload[5:split], dtype=np.int64)
+    val = np.frombuffer(payload[split:], dtype=np.float64)
     return idx, val
 
 
@@ -484,17 +522,14 @@ def unpack_versions(payload: bytes) -> list[int]:
     return list(struct.unpack_from(f"!{n}Q", payload, _VERSIONS_HEAD.size))
 
 
-def pack_shard_entries(
-    entries: list[tuple[int, bytes | None]],
-) -> list[bytes]:
-    """Encode a SHARDS reply as scatter-gather *parts*.
+def pack_shard_entries(entries: list[tuple[int, bytes | None]]) -> bytes:
+    """Encode a SHARDS reply payload.
 
     *entries* holds one ``(version, payload | None)`` per shard, in
     shard order; ``None`` means the worker's cached copy at that
     version is still current and only the 9-byte header ships.  Fresh
     payloads carry no length field — both ends know every shard's byte
-    size from the HELLO_ACK shard layout.  The shard payloads are
-    borrowed, not copied — hand the list to :func:`send_frame_parts`.
+    size from the HELLO_ACK shard layout.
     """
     parts: list[bytes] = [_VERSIONS_HEAD.pack(len(entries))]
     for version, payload in entries:
@@ -503,7 +538,7 @@ def pack_shard_entries(
         else:
             parts.append(_SHARD_ENTRY.pack(0, version))
             parts.append(payload)
-    return parts
+    return b"".join(parts)
 
 
 def unpack_shards(

@@ -9,8 +9,9 @@ parameter server rather than a plain key-value store:
 * **Shard locks + version counters** — every shard carries a
   monotonic version, bumped on each push that touches it.  A pull
   copies one shard (and reads its version) under that shard's lock; a
-  PUSH applies its delta shard-by-shard, taking each lock in shard
-  order.  Pulls of different shards interleave freely with pushes, so
+  PUSH routes its delta to shards in one pass and applies it holding
+  the locks of exactly the shards it touches, taken in shard order.
+  Pulls of different shards interleave freely with pushes, so
   a worker's assembled model can mix shard versions — the asynchrony
   the simulator models, now measured on a real wire.  A ``PULL_ALL``
   (or the pull half of a fused ``PUSH_PULL``) carries the worker's
@@ -103,6 +104,17 @@ _log = logging.getLogger(__name__)
 _WAIT_SLICE = 0.2
 
 
+#: Staleness-histogram counter key by observed lag (looked up per pull,
+#: not formatted): lags 0..64, then the overflow bucket every larger
+#: lag shares.
+_STALENESS_KEYS = tuple(keys.ps_staleness_bucket(lag) for lag in range(66))
+
+#: Frames of the training hot path, served by :meth:`ShardServer._round`.
+_ROUND_TYPES = frozenset(
+    (wire.MSG_PUSH, wire.MSG_PULL_ALL, wire.MSG_PUSH_PULL)
+)
+
+
 def default_ps_shards(n_params: int) -> int:
     """Shard count used when the caller does not pick one: enough to
     make pulls genuinely sharded, never more than the model can fill."""
@@ -158,6 +170,8 @@ class ShardServer:
             )
         self._params = np.array(init_params, dtype=np.float64, copy=True)
         self._bounds = shard_bounds(self._params.shape[0], shards)
+        #: Interior shard edges: ``searchsorted`` maps an index to its shard.
+        self._edges = np.array([hi for _, hi in self._bounds[:-1]], dtype=np.int64)
         self._locks = [threading.Lock() for _ in self._bounds]
         self._versions = [0] * len(self._bounds)
         self.max_staleness = max_staleness
@@ -170,6 +184,9 @@ class ShardServer:
         self._released_epoch = 0
         self._stop_flag = False
         self._closing = False
+        #: Pulls currently blocked at the staleness gate — the only
+        #: waiters a push needs to wake.
+        self._gate_waiters = 0
         #: Last known work-item clock of each worker id that is not
         #: currently connected — fed by disconnects and checkpoint
         #: restores, consumed by mid-run reconnect HELLOs.
@@ -299,12 +316,16 @@ class ShardServer:
     def _handle(self, conn: socket.socket) -> None:
         record: _WorkerRecord | None = None
         clean = False
+        reader = wire.FrameReader(conn)
         try:
             while True:
-                frame = wire.recv_frame(conn)
+                frame = reader.read()
                 if frame is None:
                     return
                 self._stall_gate()
+                if record is not None and frame.msg_type in _ROUND_TYPES:
+                    self._round(conn, record, frame)
+                    continue
                 if frame.msg_type in wire.CTRL_TYPES:
                     # Supervision, not training traffic: no HELLO, no
                     # ``ps.bytes_*`` accounting.
@@ -326,14 +347,6 @@ class ShardServer:
                     raise wire.WireProtocolError(
                         f"message type {frame.msg_type} before HELLO"
                     )
-                elif frame.msg_type == wire.MSG_PULL:
-                    self._pull(conn, record, frame)
-                elif frame.msg_type == wire.MSG_PULL_ALL:
-                    self._pull_all(conn, record, frame)
-                elif frame.msg_type == wire.MSG_PUSH_PULL:
-                    self._push_pull(conn, record, frame)
-                elif frame.msg_type == wire.MSG_PUSH:
-                    self._push(record, frame)
                 elif frame.msg_type == wire.MSG_EPOCH_DONE:
                     stop = self._epoch_barrier(conn, record, frame.clock)
                     if stop:
@@ -344,7 +357,8 @@ class ShardServer:
                 elif frame.msg_type == wire.MSG_BYE:
                     clean = True
                     return
-                else:  # pragma: no cover - recv_frame validates types
+                else:
+                    # A server-to-worker type (ack, SHARDS) sent at us.
                     raise wire.WireProtocolError(
                         f"unexpected message type {frame.msg_type}"
                     )
@@ -426,57 +440,36 @@ class ShardServer:
             return 0
         return max(0, record.clock - floor)
 
-    def _gate(self, record: _WorkerRecord, clock: int) -> None:
-        """Run the bounded-staleness gate for a pull at *clock*.
+    def _gate(self, record: _WorkerRecord) -> None:
+        """Run the bounded-staleness gate for a pull.  Caller holds
+        ``_cv`` and has set the worker's clock.
 
         Records the observed lag in the staleness histogram and blocks
         while the worker runs more than ``max_staleness`` items ahead
         of the slowest live worker.  One gate pass per pull
         *round-trip* — a multi-shard reply is still one observation.
         """
-        with self._cv:
-            record.clock = clock
-            record.state = "running"
-            lag = self._gate_lag(record)
-            self.counters[keys.ps_staleness_bucket(lag)] = (
-                self.counters.get(keys.ps_staleness_bucket(lag), 0.0) + 1
-            )
-            if (
-                self.max_staleness is not None
-                and lag > self.max_staleness
-            ):
-                self.counters[keys.PS_PULL_WAITS] += 1
+        lag = self._gate_lag(record)
+        bucket = _STALENESS_KEYS[min(lag, len(_STALENESS_KEYS) - 1)]
+        self.counters[bucket] = self.counters.get(bucket, 0.0) + 1
+        if self.max_staleness is not None and lag > self.max_staleness:
+            self.counters[keys.PS_PULL_WAITS] += 1
+            self._gate_waiters += 1
+            try:
                 while (
                     not self._closing
                     and record.state != "dead"
                     and self._gate_lag(record) > self.max_staleness
                 ):
                     self._cv.wait(_WAIT_SLICE)
-            self.counters[keys.PS_PULL_ROUNDS] += 1
-
-    def _pull(
-        self, conn: socket.socket, record: _WorkerRecord, frame: wire.Frame
-    ) -> None:
-        """Legacy single-shard pull (one round-trip per shard)."""
-        shard = frame.ident
-        if not 0 <= shard < self.n_shards:
-            raise wire.WireProtocolError(f"PULL for unknown shard {shard}")
-        self._gate(record, frame.clock)
-        lo, hi = self._bounds[shard]
-        with self._locks[shard]:
-            payload = self._params[lo:hi].tobytes()
-            version = self._versions[shard]
-        sent = wire.send_frame(
-            conn, wire.MSG_SHARD, ident=shard, clock=version, payload=payload
-        )
-        with self._cv:
-            self.counters[keys.PS_PULLS] += 1
-            self.counters[keys.PS_BYTES_SENT] += sent
+            finally:
+                self._gate_waiters -= 1
+        self.counters[keys.PS_PULL_ROUNDS] += 1
 
     def _answer_shards(
         self, conn: socket.socket, seen: list[int], clock: int
     ) -> None:
-        """Send the scatter-gathered SHARDS reply for one pull round.
+        """Send the SHARDS reply for one pull round: one buffer, one send.
 
         *seen* is the worker's last-seen version vector; any shard
         whose version still matches ships as a cached header only.
@@ -484,13 +477,7 @@ class ShardServer:
         lock, so every entry is internally consistent — the asynchrony
         is *between* shards, exactly as before.
         """
-        if len(seen) != self.n_shards:
-            raise wire.WireProtocolError(
-                f"version vector of {len(seen)} entries against "
-                f"{self.n_shards} shard(s)"
-            )
         entries: list[tuple[int, bytes | None]] = []
-        fresh = 0
         hits = 0
         saved = 0
         for shard, (lo, hi) in enumerate(self._bounds):
@@ -502,29 +489,28 @@ class ShardServer:
                     saved += (hi - lo) * 8
                 else:
                     entries.append((version, self._params[lo:hi].tobytes()))
-                    fresh += 1
-        sent = wire.send_frame_parts(
-            conn, wire.MSG_SHARDS, wire.pack_shard_entries(entries), clock=clock
+        sent = wire.send_frame(
+            conn,
+            wire.MSG_SHARDS,
+            clock=clock,
+            payload=wire.pack_shard_entries(entries),
         )
         with self._cv:
-            self.counters[keys.PS_PULLS] += fresh
+            self.counters[keys.PS_PULLS] += len(entries) - hits
             self.counters[keys.PS_SHARD_CACHE_HITS] += hits
             self.counters[keys.PS_BYTES_SAVED] += saved
             self.counters[keys.PS_BYTES_SENT] += sent
 
-    def _pull_all(
-        self, conn: socket.socket, record: _WorkerRecord, frame: wire.Frame
-    ) -> None:
-        """Answer every shard in one round-trip (versioned)."""
-        seen = wire.unpack_versions(frame.payload)
-        self._gate(record, frame.clock)
-        self._answer_shards(conn, seen, frame.clock)
+    def _apply_push(self, indices: np.ndarray | None, values: np.ndarray) -> None:
+        """Add one decoded delta into the shards it touches.
 
-    def _apply_push(
-        self, record: _WorkerRecord, rows: int, payload: bytes, clock: int
-    ) -> None:
-        """Apply one delta payload and advance the worker's clock."""
-        indices, values = wire.unpack_push(payload)
+        A sparse delta is routed with one ``searchsorted`` over the
+        shard edges and lands in one ``np.add.at`` under the locks of
+        exactly the touched shards, taken in shard order (the order
+        :meth:`snapshot` and :meth:`checkpoint_now` use) — coordinates
+        keep their arrival order, so duplicates accumulate exactly as
+        they would shard by shard.
+        """
         if indices is None:
             if values.shape[0] != self.n_params:
                 raise wire.WireProtocolError(
@@ -535,37 +521,51 @@ class ShardServer:
                 with self._locks[shard]:
                     self._params[lo:hi] += values[lo:hi]
                     self._versions[shard] += 1
-        elif indices.size:
-            if int(indices.min()) < 0 or int(indices.max()) >= self.n_params:
-                raise wire.WireProtocolError("sparse PUSH index out of range")
-            for shard, (lo, hi) in enumerate(self._bounds):
-                sel = (indices >= lo) & (indices < hi)
-                if not sel.any():
-                    continue
-                with self._locks[shard]:
-                    np.add.at(self._params, indices[sel], values[sel])
-                    self._versions[shard] += 1
-        fire = None
-        with self._cv:
-            record.clock = clock
-            record.state = "running"
-            self.counters[keys.PS_PUSHES] += 1
-            self.counters[keys.UPDATES_APPLIED] = (
-                self.counters.get(keys.UPDATES_APPLIED, 0.0) + rows
+            return
+        if not indices.size:
+            return
+        if int(indices.min()) < 0 or int(indices.max()) >= self.n_params:
+            raise wire.WireProtocolError("sparse PUSH index out of range")
+        touched = np.flatnonzero(
+            np.bincount(
+                self._edges.searchsorted(indices, "right"),
+                minlength=len(self._bounds),
             )
-            if self._ckpt_policy is not None:
-                self._ckpt_pushes_since += 1
-                if (
-                    self._ckpt_policy.every_items is not None
-                    and self._ckpt_pushes_since >= self._ckpt_policy.every_items
-                ):
-                    self._ckpt_event.set()
-            if self._server_faults:
-                self._pushes_this_epoch += 1
-                fire = self._due_server_fault()
+        ).tolist()
+        for shard in touched:
+            self._locks[shard].acquire()
+        try:
+            np.add.at(self._params, indices, values)
+            for shard in touched:
+                self._versions[shard] += 1
+        finally:
+            for shard in reversed(touched):
+                self._locks[shard].release()
+
+    def _count_push(self, rows: int) -> None:
+        """Account one applied push of *rows* examples.  Caller holds
+        ``_cv`` and has already advanced the worker's clock."""
+        self.counters[keys.PS_PUSHES] += 1
+        self.counters[keys.UPDATES_APPLIED] = (
+            self.counters.get(keys.UPDATES_APPLIED, 0.0) + rows
+        )
+        if self._ckpt_policy is not None:
+            self._ckpt_pushes_since += 1
+            if (
+                self._ckpt_policy.every_items is not None
+                and self._ckpt_pushes_since >= self._ckpt_policy.every_items
+            ):
+                self._ckpt_event.set()
+        if self._server_faults:
+            self._pushes_this_epoch += 1
+            fire = self._due_server_fault()
+            if fire is not None:
+                self._fire_server_fault(fire)
+        if self._gate_waiters:
+            # A clock only matters to a pull blocked at the gate; the
+            # parent's barrier wait is woken by arrivals and
+            # disconnects, never by a mere push.
             self._cv.notify_all()
-        if fire is not None:
-            self._fire_server_fault(fire)
 
     def _due_server_fault(self) -> dict | None:
         """The next unfired server fault due at this push, if any.
@@ -597,25 +597,44 @@ class ShardServer:
         else:  # server-stall
             self._stall_until = time.monotonic() + float(spec["seconds"])
 
-    def _push(self, record: _WorkerRecord, frame: wire.Frame) -> None:
-        self._apply_push(record, frame.ident, frame.payload, frame.clock)
-
-    def _push_pull(
+    def _round(
         self, conn: socket.socket, record: _WorkerRecord, frame: wire.Frame
     ) -> None:
-        """The fused frame: apply item *k*'s push, answer item *k+1*'s
-        pull — one round-trip for both.
+        """Serve one PUSH / PULL_ALL / PUSH_PULL frame.
 
-        The push is applied *before* the gate and the reply, on the
-        same handler thread, so the ordered-stream guarantee survives
-        fusion: a single node at ``max_staleness=0`` still sees its own
-        push before the next pull is answered, keeping it bit-exact
-        against serial SGD.
+        The whole frame is decoded and validated before any state
+        moves, so a rejected frame changes nothing.  The push half is
+        applied *before* the gate and the reply, on the same handler
+        thread, so the ordered-stream guarantee survives fusion: a
+        single node at ``max_staleness=0`` sees its own push before
+        the next pull is answered, keeping it bit-exact against serial
+        SGD.  Byte accounting, push accounting and the gate then share
+        one pass under the registry mutex.
         """
-        push_payload, seen = wire.unpack_push_pull(frame.payload)
-        self._apply_push(record, frame.ident, push_payload, frame.clock)
-        self._gate(record, frame.clock)
-        self._answer_shards(conn, seen, frame.clock)
+        push = seen = None
+        if frame.msg_type == wire.MSG_PUSH:
+            push = frame.payload
+        elif frame.msg_type == wire.MSG_PULL_ALL:
+            seen = wire.unpack_versions(frame.payload)
+        else:
+            push, seen = wire.unpack_push_pull(frame.payload)
+        if seen is not None and len(seen) != self.n_shards:
+            raise wire.WireProtocolError(
+                f"version vector of {len(seen)} entries against "
+                f"{self.n_shards} shard(s)"
+            )
+        if push is not None:
+            self._apply_push(*wire.unpack_push(push))
+        with self._cv:
+            self.counters[keys.PS_BYTES_RECEIVED] += frame.nbytes
+            record.clock = frame.clock
+            record.state = "running"
+            if push is not None:
+                self._count_push(frame.ident)
+            if seen is not None:
+                self._gate(record)
+        if seen is not None:
+            self._answer_shards(conn, seen, frame.clock)
 
     def _epoch_barrier(
         self, conn: socket.socket, record: _WorkerRecord, epoch: int
@@ -888,6 +907,13 @@ class ShardServer:
             self._closing = True
             self._cv.notify_all()
             conns = list(self._conns)
+        # Wake the accept loop now instead of at its next poll: it sees
+        # ``_closing`` on the self-dialled connection and returns.
+        try:
+            socket.create_connection((self.host, self.port), timeout=1.0).close()
+        except OSError:
+            pass  # the loop's own accept timeout still ends it
+        self._accept_thread.join(timeout=2.0)
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - defensive
@@ -901,7 +927,6 @@ class ShardServer:
                 conn.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-        self._accept_thread.join(timeout=2.0)
         if self._ckpt_thread is not None:
             self._ckpt_event.set()
             self._ckpt_thread.join(timeout=2.0)

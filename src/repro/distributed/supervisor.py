@@ -197,6 +197,7 @@ class RemoteServerHandle:
 
         self._proc = None
         self._ctrl: socket.socket | None = None
+        self._ctrl_reader: wire.FrameReader | None = None
         self._dead = False
         self.host = "127.0.0.1"
         self.port = 0
@@ -261,6 +262,7 @@ class RemoteServerHandle:
         ctrl.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         ctrl.settimeout(self._probe_timeout)
         self._ctrl = ctrl
+        self._ctrl_reader = wire.FrameReader(ctrl)
         self._dead = False
         self._last_counters = {}
         self._last_faults = 0
@@ -334,7 +336,7 @@ class RemoteServerHandle:
             self._ctrl.sendall(
                 wire.pack_frame(msg_type, ident=ident, clock=clock, payload=payload)
             )
-            reply = wire.recv_frame(self._ctrl)
+            reply = self._ctrl_reader.read()
         except (wire.WireProtocolError, ConnectionError, OSError) as err:
             raise self._mark_dead(phase, err) from err
         if reply is None or reply.msg_type != msg_type:

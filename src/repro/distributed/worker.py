@@ -123,8 +123,10 @@ class _ServerLink:
     Owns the dial RNG (one seeded jitter stream per worker id — the
     first dial and every mid-run redial draw from it), the
     :class:`FaultyWire` wrapper (armed faults and the corrupt-byte RNG
-    survive reconnects), and the shard layout learned from the first
-    HELLO_ACK.
+    survive reconnects), the buffered frame reader of the *current*
+    socket (replaced on every dial — bytes buffered from a dead
+    connection must never be parsed as the new one's), and the shard
+    layout learned from the first HELLO_ACK.
     """
 
     def __init__(
@@ -140,9 +142,12 @@ class _ServerLink:
         #: byte positions — one stream, pure function of (seed, ids).
         self.wire_rng = derive_rng(seed, f"ps-wire/{n_workers}/{worker_id}")
         self.wire = FaultyWire(None, self.wire_rng)
+        self.reader: wire.FrameReader | None = None
         self.n_params: int | None = None
         self.n_shards: int | None = None
         self.bounds: list[tuple[int, int]] | None = None
+        #: Byte size of each shard's fresh payload (the SHARDS schema).
+        self.shard_bytes: list[int] | None = None
 
     @property
     def port(self) -> int:
@@ -167,6 +172,7 @@ class _ServerLink:
             if sock is None:
                 return None
             self.wire.attach(sock)
+            self.reader = wire.FrameReader(self.wire)
             try:
                 wire.send_frame(
                     self.wire,
@@ -175,7 +181,7 @@ class _ServerLink:
                     clock=retries,
                     payload=bytes([wire.HELLO_MIDRUN]) if midrun else b"",
                 )
-                ack = wire.recv_frame(self.wire)
+                ack = self.reader.read()
             except _HEAL_ERRORS:
                 ack = None
             if ack is None or ack.msg_type != wire.MSG_HELLO_ACK:
@@ -190,6 +196,7 @@ class _ServerLink:
                 self.n_params = n_params
                 self.n_shards = n_shards
                 self.bounds = shard_bounds(n_params, n_shards)
+                self.shard_bytes = [(hi - lo) * 8 for lo, hi in self.bounds]
             return resume
         return None
 
@@ -200,68 +207,47 @@ class _ServerLink:
             pass
 
 
-def _apply_shards(
-    frame: wire.Frame,
-    w: np.ndarray,
-    seen: list[int],
-    bounds: list[tuple[int, int]],
-) -> None:
-    """Fold one SHARDS reply into the local model + version cache.
+def _recv_shards(link: _ServerLink, w: np.ndarray, seen: list[int]) -> None:
+    """Fold the next SHARDS reply into the local model + version cache.
 
-    Cached entries leave ``w``'s bytes alone (the invariant guarantees
-    they already match the server at that version); fresh entries
-    overwrite the shard slice and advance the cached version.  The
-    wire carries no per-shard lengths — the shard layout from
-    HELLO_ACK is the decode schema.
+    The whole payload is validated against the shard layout before a
+    byte of ``w`` moves (the wire carries no per-shard lengths — the
+    layout from HELLO_ACK is the decode schema); fresh entries then
+    overwrite their slice of ``w`` and advance the cached version.
+    Cached entries leave ``w`` alone: the invariant guarantees it
+    already matches the server at that version.
     """
-    entries = wire.unpack_shards(
-        frame.payload, [(hi - lo) * 8 for lo, hi in bounds]
-    )
-    for shard, (version, payload) in enumerate(entries):
-        if payload is not None:
-            lo, hi = bounds[shard]
-            w[lo:hi] = np.frombuffer(payload, dtype=np.float64)
-        seen[shard] = version
-
-
-def _recv_shards(
-    sock,
-    w: np.ndarray,
-    seen: list[int],
-    bounds: list[tuple[int, int]],
-) -> None:
-    frame = wire.recv_frame(sock)
+    frame = link.reader.read()
     if frame is None:
         raise ConnectionResetError("server closed the connection mid-pull")
     if frame.msg_type != wire.MSG_SHARDS:
         raise wire.WireProtocolError("pull was not answered with a SHARDS reply")
-    _apply_shards(frame, w, seen, bounds)
+    entries = wire.unpack_shards(frame.payload, link.shard_bytes)
+    for shard, (version, payload) in enumerate(entries):
+        if payload is not None:
+            lo, hi = link.bounds[shard]
+            w[lo:hi] = np.frombuffer(payload, dtype=np.float64)
+        seen[shard] = version
 
 
-def _pull_all(
-    sock,
-    w: np.ndarray,
-    seen: list[int],
-    bounds: list[tuple[int, int]],
-    clock: int,
-) -> None:
+def _pull_all(link: _ServerLink, w: np.ndarray, seen: list[int], clock: int) -> None:
     """One full-model pull in a single round-trip (versioned)."""
     wire.send_frame(
-        sock, wire.MSG_PULL_ALL, clock=clock, payload=wire.pack_versions(seen)
+        link.wire, wire.MSG_PULL_ALL, clock=clock, payload=wire.pack_versions(seen)
     )
-    _recv_shards(sock, w, seen, bounds)
+    _recv_shards(link, w, seen)
 
 
-def _epoch_barrier(sock, epoch: int) -> bool:
+def _epoch_barrier(link: _ServerLink, epoch: int) -> bool:
     """Announce the finished epoch; block for the ack.  True = stop.
 
     A connection closed while waiting raises (instead of quietly
     stopping): mid-run that is a failing-over server, and the heal
     loop re-announces the epoch on the fresh connection.
     """
-    wire.send_frame(sock, wire.MSG_EPOCH_DONE, clock=epoch)
+    wire.send_frame(link.wire, wire.MSG_EPOCH_DONE, clock=epoch)
     while True:
-        frame = wire.recv_frame(sock)
+        frame = link.reader.read()
         if frame is None:
             raise ConnectionResetError("server closed the connection at the barrier")
         if frame.msg_type == wire.MSG_EPOCH_ACK:
@@ -299,7 +285,6 @@ def worker_main(
         return
     sock = link.wire
     try:
-        bounds = link.bounds
         n_shards = link.n_shards
         w = np.empty(link.n_params, dtype=np.float64)
         # The shard cache: last server version this worker holds for
@@ -326,7 +311,7 @@ def worker_main(
         # release of epoch ``epoch_offset + 1`` starts the pass.
         while True:
             try:
-                if _epoch_barrier(sock, epoch_offset):
+                if _epoch_barrier(link, epoch_offset):
                     wire.send_frame(sock, wire.MSG_BYE)
                     return
                 break
@@ -396,7 +381,7 @@ def worker_main(
                         if not pulled:
                             # Epoch-opening pull: one round-trip for
                             # all shards.
-                            _pull_all(sock, w, seen, bounds, items_done)
+                            _pull_all(link, w, seen, items_done)
                             pulled = True
                         if sparse:
                             idx_parts: list[np.ndarray] = []
@@ -416,7 +401,9 @@ def worker_main(
                                 w[idx] += delta  # later rows in the item see it
                                 idx_parts.append(idx)
                                 val_parts.append(delta)
-                            if idx_parts:
+                            if len(idx_parts) == 1:
+                                payload = wire.pack_push(idx_parts[0], val_parts[0])
+                            elif idx_parts:
                                 payload = wire.pack_push(
                                     np.concatenate(idx_parts),
                                     np.concatenate(val_parts),
@@ -456,7 +443,7 @@ def worker_main(
                                 clock=items_done,
                                 payload=wire.pack_push_pull(payload, seen),
                             )
-                            _recv_shards(sock, w, seen, bounds)
+                            _recv_shards(link, w, seen)
                         else:
                             # Last item of the pass: nothing left to
                             # pull, so the push travels alone
@@ -474,7 +461,7 @@ def worker_main(
                         wire.send_frame(sock, wire.MSG_FAULT, ident=2, clock=epoch)
                         time.sleep(sleep_seconds)
                         sleep_seconds = 0.0  # a heal must not re-stall
-                    stop = _epoch_barrier(sock, epoch)
+                    stop = _epoch_barrier(link, epoch)
                     break
                 except _HEAL_ERRORS:
                     # Reconnect-and-resume: re-register mid-run, rewind

@@ -2,10 +2,13 @@
 
 import socket
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import protocol as wire
 
@@ -47,8 +50,8 @@ class TestFrameRoundTrip:
 
     def test_back_to_back_frames_keep_boundaries(self, pair):
         a, b = pair
-        wire.send_frame(a, wire.MSG_PULL, ident=1, clock=10)
-        wire.send_frame(a, wire.MSG_PULL, ident=2, clock=11)
+        wire.send_frame(a, wire.MSG_FAULT, ident=1, clock=10)
+        wire.send_frame(a, wire.MSG_FAULT, ident=2, clock=11)
         first = wire.recv_frame(b)
         second = wire.recv_frame(b)
         assert (first.ident, first.clock) == (1, 10)
@@ -74,6 +77,13 @@ class TestFrameValidation:
     def test_unknown_type_rejected(self, pair):
         a, b = pair
         a.sendall(_raw_header(99))
+        with pytest.raises(wire.WireProtocolError, match="unknown message type"):
+            wire.recv_frame(b)
+
+    @pytest.mark.parametrize("msg_type", [3, 4], ids=["PULL", "SHARD"])
+    def test_retired_single_shard_types_rejected(self, pair, msg_type):
+        a, b = pair
+        a.sendall(_raw_header(msg_type))
         with pytest.raises(wire.WireProtocolError, match="unknown message type"):
             wire.recv_frame(b)
 
@@ -114,8 +124,7 @@ class TestFrameValidation:
             wire.recv_frame(b)
 
     def test_corrupt_gathered_frame_rejected(self, pair):
-        """The incremental CRC of the sendmsg path guards the payload
-        exactly like the contiguous one."""
+        """The last byte of a multi-part payload is under the CRC too."""
         a, b = pair
         parts = [np.linspace(0, 1, 8).tobytes(), b"\x05" * 12]
         raw = bytearray(
@@ -202,20 +211,20 @@ class TestVersionedPayloads:
         fresh_a = np.linspace(0, 1, 6).tobytes()
         fresh_b = np.linspace(-2, 2, 5).tobytes()
         entries = [(4, fresh_a), (9, None), (2, fresh_b)]
-        payload = b"".join(wire.pack_shard_entries(entries))
+        payload = wire.pack_shard_entries(entries)
         sizes = [len(fresh_a), 8 * 7, len(fresh_b)]  # cached size unused
         out = wire.unpack_shards(payload, sizes)
         assert out == entries
 
     def test_cached_shard_costs_nine_bytes(self):
-        only_header = b"".join(wire.pack_shard_entries([(5, None)]))
-        full = b"".join(wire.pack_shard_entries([(5, b"\x00" * 800)]))
+        only_header = wire.pack_shard_entries([(5, None)])
+        full = wire.pack_shard_entries([(5, b"\x00" * 800)])
         assert len(only_header) == 2 + 9  # count head + cached entry
         assert len(full) == 2 + 9 + 800
 
     def test_shards_validation(self):
         fresh = np.zeros(4).tobytes()
-        payload = b"".join(wire.pack_shard_entries([(1, fresh)]))
+        payload = wire.pack_shard_entries([(1, fresh)])
         with pytest.raises(wire.WireProtocolError, match="against"):
             wire.unpack_shards(payload, [len(fresh), len(fresh)])
         with pytest.raises(wire.WireProtocolError, match="truncated"):
@@ -256,28 +265,148 @@ class TestVersionedPayloads:
             wire.unpack_push_pull(raw[:5])  # push length says 1, body empty
 
 
-class TestScatterGatherSend:
+class TestOneBufferReply:
+    """A SHARDS reply is one payload buffer behind one header: what
+    the ``sendmsg`` gather path used to assemble on the wire."""
+
     def test_parts_arrive_as_one_frame(self, pair):
         a, b = pair
         entries = [(1, np.arange(4.0).tobytes()), (2, None), (3, b"\x11" * 16)]
-        parts = wire.pack_shard_entries(entries)
-        sent = wire.send_frame_parts(a, wire.MSG_SHARDS, parts, clock=77)
+        sent = wire.send_frame(
+            a, wire.MSG_SHARDS, clock=77, payload=wire.pack_shard_entries(entries)
+        )
         frame = wire.recv_frame(b)
         assert frame.msg_type == wire.MSG_SHARDS
         assert frame.clock == 77
         assert frame.nbytes == sent
         assert wire.unpack_shards(frame.payload, [32, 0, 16]) == entries
 
-    def test_matches_contiguous_send(self, pair):
-        """sendmsg gather framing is byte-identical to a single send."""
-        a, b = pair
-        parts = [b"abc", b"", b"defg", b"\x00" * 9]
-        wire.send_frame_parts(a, wire.MSG_SHARDS, parts, ident=3, clock=1)
-        wire.send_frame(
-            a, wire.MSG_SHARDS, ident=3, clock=1, payload=b"".join(parts)
+
+class _Dribble:
+    """A socket stand-in over a fixed byte stream that hands out at
+    most ``chunks[i]`` bytes on its i-th read (cycled), then EOF."""
+
+    def __init__(self, data: bytes, chunks=(1 << 30,)):
+        self._data = data
+        self._pos = 0
+        self._chunks = list(chunks)
+        self._calls = 0
+
+    def _take(self, limit: int) -> bytes:
+        cap = self._chunks[self._calls % len(self._chunks)]
+        self._calls += 1
+        out = self._data[self._pos : self._pos + min(limit, cap)]
+        self._pos += len(out)
+        return out
+
+    def recv(self, n: int) -> bytes:
+        return self._take(n)
+
+    def recv_into(self, view) -> int:
+        out = self._take(len(view))
+        view[: len(out)] = out
+        return len(out)
+
+
+def _drain(read) -> list[tuple]:
+    frames = []
+    while (frame := read()) is not None:
+        frames.append(
+            (frame.msg_type, frame.ident, frame.clock, frame.payload, frame.nbytes)
         )
-        first = wire.recv_frame(b)
-        second = wire.recv_frame(b)
-        assert first.payload == second.payload
-        assert first.nbytes == second.nbytes
-        assert (first.ident, first.clock) == (second.ident, second.clock)
+    return frames
+
+
+_frames = st.lists(
+    st.tuples(
+        st.sampled_from([wire.MSG_PUSH, wire.MSG_SHARDS, wire.MSG_FAULT, wire.MSG_BYE]),
+        st.integers(0, 2**16 - 1),
+        st.integers(0, 2**64 - 1),
+        st.binary(max_size=200),
+    ),
+    min_size=1,
+    max_size=6,
+)
+_chunks = st.lists(st.integers(1, 64), min_size=1, max_size=8)
+
+
+def _stream(frames) -> bytes:
+    return b"".join(
+        wire.pack_frame(t, ident=i, clock=c, payload=p) for t, i, c, p in frames
+    )
+
+
+class TestFrameReader:
+    """The buffered reader is ``recv_frame`` with fewer syscalls —
+    same frames, same rejections, whatever the kernel's chunking."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(frames=_frames, chunks=_chunks, size=st.integers(20, 96))
+    def test_any_chunking_yields_recv_frame_frames(self, frames, chunks, size):
+        """1-byte dribble, several frames per read, frames larger than
+        the buffer: all decode to exactly what ``recv_frame`` yields."""
+        stream = _stream(frames)
+        plain = _Dribble(stream)
+        expected = _drain(lambda: wire.recv_frame(plain))
+        assert [f[:4] for f in expected] == frames
+        reader = wire.FrameReader(_Dribble(stream, chunks), size=size)
+        assert _drain(reader.read) == expected
+
+    def test_frames_larger_than_the_default_buffer(self):
+        big = bytes(range(256)) * 1200  # 300 KB, default buffer is 64 KiB
+        frames = [(wire.MSG_PUSH, 1, 1, big), (wire.MSG_BYE, 0, 0, b""),
+                  (wire.MSG_SHARDS, 2, 2, big[:70_000])]
+        reader = wire.FrameReader(_Dribble(_stream(frames), [50_000]))
+        assert [f[:4] for f in _drain(reader.read)] == frames
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frames=_frames,
+        chunks=_chunks,
+        where=st.floats(0, 1, exclude_max=True),
+        mask=st.integers(1, 255),
+    )
+    def test_any_flipped_byte_is_a_wire_error(self, frames, chunks, where, mask):
+        """Frames ahead of the damage decode; at the damage the reader
+        raises WireProtocolError — never another exception, never a
+        frame that was not sent."""
+        stream = bytearray(_stream(frames))
+        stream[int(where * len(stream))] ^= mask
+        reader = wire.FrameReader(_Dribble(bytes(stream), chunks), size=64)
+        decoded = []
+        with pytest.raises(wire.WireProtocolError):
+            while (frame := reader.read()) is not None:
+                decoded.append(
+                    (frame.msg_type, frame.ident, frame.clock, frame.payload)
+                )
+        assert decoded == frames[: len(decoded)]
+        assert len(decoded) < len(frames)
+
+    def test_oversized_header_rejected_before_any_allocation(self):
+        head = _raw_header(wire.MSG_PUSH, wire.MAX_FRAME_BYTES + 1)
+        reader = wire.FrameReader(_Dribble(head + b"x" * 64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(wire.WireProtocolError, match="cap"):
+                reader.read()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_eof_inside_a_frame_raises(self):
+        raw = wire.pack_frame(wire.MSG_PUSH, payload=b"\x01" * 40)
+        for cut in (5, wire.HEADER_BYTES, wire.HEADER_BYTES + 7):
+            reader = wire.FrameReader(_Dribble(raw[:cut]))
+            with pytest.raises(wire.WireProtocolError, match="closed"):
+                reader.read()
+
+    def test_reads_a_real_socket(self, pair):
+        a, b = pair
+        reader = wire.FrameReader(b)
+        wire.send_frame(a, wire.MSG_FAULT, ident=1, clock=10)
+        wire.send_frame(a, wire.MSG_PUSH, ident=2, clock=11, payload=b"\x02")
+        assert reader.read().clock == 10
+        assert reader.read().payload == b"\x02"
+        a.close()
+        assert reader.read() is None

@@ -58,8 +58,8 @@ class TestFaultyWire:
         a, b = pair
         wrapped = _wrap(a)
         wrapped.arm("frame-delay", 0.0)
-        wire.send_frame(wrapped, wire.MSG_PULL, clock=1)
-        wire.send_frame(wrapped, wire.MSG_PULL, clock=2)
+        wire.send_frame(wrapped, wire.MSG_PULL_ALL, clock=1)
+        wire.send_frame(wrapped, wire.MSG_PULL_ALL, clock=2)
         assert wire.recv_frame(b).clock == 1
         assert wire.recv_frame(b).clock == 2
 
@@ -111,7 +111,7 @@ class TestFaultyWire:
         a2, b2 = socket.socketpair()
         try:
             wrapped.attach(a2)
-            wire.send_frame(wrapped, wire.MSG_PULL, clock=3)
+            wire.send_frame(wrapped, wire.MSG_PULL_ALL, clock=3)
             assert wire.recv_frame(b2).clock == 3
         finally:
             a2.close()
@@ -237,6 +237,52 @@ class TestLossyWireEndToEnd:
         expected = init.copy()
         rng = derive_rng(99, "ps/1/0")
         part = np.arange(ds.X.shape[0], dtype=np.int64)
+        for _ in range(res.epochs_run):
+            order = part[rng.permutation(part.shape[0])]
+            model.serial_sgd_epoch(ds.X, ds.y, order, expected, 0.05)
+        assert np.array_equal(res.params, expected)
+
+    def test_drop_with_a_half_frame_buffered_stays_serial_exact(
+        self, setup, monkeypatch
+    ):
+        """The worker's buffered reader belongs to one socket.  Here the
+        reply just before the drop arrives with the first 30 bytes of
+        another frame behind it, so the drop fires with an unread
+        half-frame buffered; the redial must start from an empty
+        buffer (or the HELLO_ACK is parsed as that frame's payload and
+        the node never comes back), and the replay stays exactly-once."""
+        model, ds, init = setup
+        n = ds.X.shape[0]
+        # The drop hits the seeded item of epoch 2; the reply before it
+        # answers the PUSH_PULL whose clock is that item's index.
+        item = int(derive_rng(99, "ps-wire/1/0").integers(n))
+        assert item > 0  # a PULL_ALL-opened item has no such reply
+        half = wire.pack_frame(wire.MSG_SHARDS, payload=b"\x00" * 100)[:30]
+        real_send = wire.send_frame
+        poisoned = []
+
+        def send_frame(sock, msg_type, *, ident=0, clock=0, payload=b""):
+            if msg_type == wire.MSG_SHARDS and clock == n + item and not poisoned:
+                poisoned.append(clock)
+                frame = wire.pack_frame(
+                    msg_type, ident=ident, clock=clock, payload=payload
+                )
+                sock.sendall(frame + half)  # one segment: read together
+                return len(frame)
+            return real_send(sock, msg_type, ident=ident, clock=clock, payload=payload)
+
+        monkeypatch.setattr(wire, "send_frame", send_frame)
+        res = train_ps(
+            model, ds.X, ds.y, init, _config(),
+            PsSchedule(nodes=1, max_staleness=0, batch_size=1,
+                       epoch_timeout=20.0),
+            fault_plan=FaultPlan.parse(["conn-drop@2:w0"]),
+        )
+        assert poisoned == [n + item]
+        assert res.counters[keys.PS_RECONNECTS_MIDRUN] == 1.0
+        expected = init.copy()
+        rng = derive_rng(99, "ps/1/0")
+        part = np.arange(n, dtype=np.int64)
         for _ in range(res.epochs_run):
             order = part[rng.permutation(part.shape[0])]
             model.serial_sgd_epoch(ds.X, ds.y, order, expected, 0.05)
