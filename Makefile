@@ -8,8 +8,10 @@ JOBS ?= 4
 test:            ## tier-1 suite, exactly as CI runs it
 	PYTHONPATH=src python -m pytest -x -q -W error::RuntimeWarning
 
-chaos:           ## fault-injection + recovery suite (shm + ps backends)
-	pytest tests/faults tests/parallel/test_chaos.py tests/distributed/test_ps.py
+chaos:           ## fault-injection + recovery suite: the supervised loop's properties, then shm + ps drills (CI runs exactly this)
+	PYTHONPATH=src python -m pytest -q -W error::RuntimeWarning \
+		tests/faults tests/parallel/test_chaos.py \
+		tests/distributed/test_ps.py tests/distributed/test_failover.py
 
 chaos-grid:      ## degraded-mode grid run under injected cell faults
 	rm -rf /tmp/chaos_grid && REPRO_CACHE_DIR=/tmp/chaos_grid/cache \

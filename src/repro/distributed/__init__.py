@@ -35,7 +35,7 @@ from .checkpoint import (
 from .lossy import WIRE_FAULT_IDENTS, FaultyWire
 from .protocol import WireProtocolError
 from .server import ShardServer, default_ps_shards, shard_bounds
-from .supervisor import LocalServerHandle, RemoteServerHandle
+from .supervisor import RemoteServerHandle
 from .train import PsSchedule, PsTrainResult, default_ps_nodes, train_ps
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "CheckpointPolicy",
     "CheckpointState",
     "FaultyWire",
-    "LocalServerHandle",
     "PsSchedule",
     "PsTrainResult",
     "RemoteServerHandle",

@@ -99,8 +99,8 @@ supervision, not training traffic):
 ``CTRL_RESET``
     ``reset_pool(expected_workers=ident)``; acked.
 ``CTRL_CHECKPOINT``
-    Force an epoch-boundary checkpoint now; the ack's ``ident`` is 1
-    if a file was written (0 when checkpointing is not configured).
+    ``checkpoint_now(boundary=bool(ident))``; the ack's payload is the
+    written file's path (empty when checkpointing is not configured).
 ``CTRL_SHUTDOWN``
     Ack, then close the server and exit the process cleanly.
 """

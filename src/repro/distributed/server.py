@@ -712,9 +712,9 @@ class ShardServer:
             self.reset_pool(frame.ident)
             wire.send_frame(conn, wire.MSG_CTRL_RESET)
         elif t == wire.MSG_CTRL_CHECKPOINT:
-            path = self.checkpoint_now(boundary=True)
+            path = self.checkpoint_now(boundary=bool(frame.ident))
             wire.send_frame(
-                conn, wire.MSG_CTRL_CHECKPOINT, ident=0 if path is None else 1
+                conn, wire.MSG_CTRL_CHECKPOINT, payload=(path or "").encode("utf-8")
             )
         elif t == wire.MSG_CTRL_SHUTDOWN:
             wire.send_frame(conn, wire.MSG_CTRL_SHUTDOWN)

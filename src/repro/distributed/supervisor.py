@@ -2,14 +2,13 @@
 
 The parameter-server tier used to have exactly one unsurvivable
 component: the server itself.  This module removes that asymmetry by
-giving the training parent a *handle* abstraction over the server with
-two implementations:
+giving the training parent two implementations of one server surface
+(the parent-side control methods, ``release_epoch`` through ``close``):
 
-:class:`LocalServerHandle`
-    The default: the :class:`~repro.distributed.server.ShardServer`
-    lives in the parent process, every control call is a method call.
-    Zero overhead, zero new failure modes — the regime every previous
-    run used, unchanged.
+:class:`~repro.distributed.server.ShardServer` itself
+    The default: the server lives in the parent process and the parent
+    holds it directly — every control call is a method call.  Zero
+    overhead, zero new failure modes.
 
 :class:`RemoteServerHandle`
     The server runs in its **own process** (:func:`server_main`) and
@@ -48,13 +47,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ..faults.supervise import reap
 from ..telemetry import keys
 from ..utils.errors import ConfigurationError, ServerDiedError
 from . import protocol as wire
 from .checkpoint import CheckpointPolicy, load_latest
 from .server import ShardServer
 
-__all__ = ["LocalServerHandle", "RemoteServerHandle", "server_main"]
+__all__ = ["RemoteServerHandle", "server_main"]
 
 #: Seconds the parent grants the child to report its listening address.
 _SPAWN_TIMEOUT = 30.0
@@ -105,56 +105,6 @@ def server_main(
             pass
     finally:
         server.close()
-
-
-class LocalServerHandle:
-    """The in-process server behind the handle surface (the default)."""
-
-    def __init__(self, server: ShardServer) -> None:
-        self.server = server
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def epoch_reached(self, epoch: int) -> bool:
-        return self.server.epoch_reached(epoch)
-
-    def wait_epoch_tick(self, timeout: float) -> None:
-        self.server.wait_epoch_tick(timeout)
-
-    def release_epoch(self, epoch: int, *, stop: bool = False) -> None:
-        self.server.release_epoch(epoch, stop=stop)
-
-    def reset_pool(self, expected_workers: int) -> None:
-        self.server.reset_pool(expected_workers)
-
-    def snapshot(self) -> np.ndarray:
-        return self.server.snapshot()
-
-    def write_params(self, params: np.ndarray) -> None:
-        self.server.write_params(params)
-
-    def checkpoint_boundary(self) -> bool:
-        """Force an epoch-boundary checkpoint; False = not configured."""
-        return self.server.checkpoint_now(boundary=True) is not None
-
-    def describe(self) -> dict[str, Any]:
-        return self.server.describe()
-
-    def counters(self) -> dict[str, float]:
-        return dict(self.server.counters)
-
-    @property
-    def faults_reported(self) -> int:
-        return self.server.faults_reported
-
-    def close(self) -> None:
-        self.server.close()
 
 
 class RemoteServerHandle:
@@ -309,10 +259,7 @@ class RemoteServerHandle:
         self._fold_generation()
         if self._proc is not None and self._proc.is_alive():
             self._proc.terminate()
-            self._proc.join(2.0)
-            if self._proc.is_alive():  # pragma: no cover - defensive
-                self._proc.kill()
-                self._proc.join()
+            reap([self._proc], 2.0)
         if server_faults is not None:
             self._server_faults = list(server_faults)
         self._launch(restore=True)
@@ -396,9 +343,12 @@ class RemoteServerHandle:
         payload = np.ascontiguousarray(params, dtype=np.float64).tobytes()
         self._roundtrip(wire.MSG_CTRL_WRITE, payload=payload, phase="write")
 
-    def checkpoint_boundary(self) -> bool:
-        reply = self._roundtrip(wire.MSG_CTRL_CHECKPOINT, phase="checkpoint")
-        return bool(reply.ident)
+    def checkpoint_now(self, *, boundary: bool = False) -> str | None:
+        """Write one checkpoint immediately; its path, ``None`` = no policy."""
+        reply = self._roundtrip(
+            wire.MSG_CTRL_CHECKPOINT, ident=int(boundary), phase="checkpoint"
+        )
+        return reply.payload.decode("utf-8") or None
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -411,8 +361,10 @@ class RemoteServerHandle:
             "server_process": True,
         }
 
+    @property
     def counters(self) -> dict[str, float]:
-        """Folded counters: every dead generation plus the live one."""
+        """Folded counters: every dead generation plus the live one
+        (freshly polled while it answers)."""
         if not self._dead:
             try:
                 self._status()
@@ -444,12 +396,6 @@ class RemoteServerHandle:
             except OSError:  # pragma: no cover - defensive
                 pass
             self._ctrl = None
-        self._proc.join(2.0)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(2.0)
-        if self._proc.is_alive():  # pragma: no cover - defensive
-            self._proc.kill()
-            self._proc.join()
+        reap([self._proc], 2.0)
         self._fold_generation()
         self._dead = True

@@ -1,33 +1,26 @@
 """Drive a multi-node parameter-server run end to end.
 
 :func:`train_ps` is the distributed sibling of
-:func:`repro.parallel.train_shm`: same epoch-aligned measurement loop
-(wall clock between barriers, loss on a quiescent snapshot, loss evals
-excluded from iteration time), same fault/recovery contract
-(:class:`repro.faults.FaultPlan` node kinds +
-:class:`repro.faults.RecoveryPolicy`), same telemetry vocabulary — but
-the model lives in a :class:`~repro.distributed.server.ShardServer`
+:func:`repro.parallel.train_shm`: both run
+:func:`repro.faults.supervise.supervise_epochs` — one epoch loop, one
+recovery policy, one telemetry vocabulary — and differ in transport.
+Here the model lives in a :class:`~repro.distributed.server.ShardServer`
 and the workers reach it over TCP, so what the run measures is the
 paper's *distributed* asynchronous regime: staleness from wire latency
 and sharded pulls rather than from cache-coherent racing.
 
 The epoch barrier is the ordered TCP stream itself: a worker's pushes
 all precede its ``EPOCH_DONE`` on its own connection, so once every
-live worker has arrived the server's shards are quiescent and the
-parent snapshots, evaluates, scrubs or publishes without stopping any
-clock.  Recovery covers both tiers.  Worker recovery replaces the
-*pool*: worker processes are torn down and respawned against the same
-shard state (``node-kill`` mid-epoch costs the partial epoch, not the
-model), and the server's reconnect/reap counters record the churn.
-Server recovery is **crash-restart failover**: with checkpointing
+live worker has arrived the server's shards are quiescent.  A pool
+rebuild respawns the workers against the same shard state
+(``node-kill`` mid-epoch costs the partial epoch, not the model).  A
+lost server is **crash-restart failover**: with checkpointing
 configured (and the server in its own process — automatic whenever
-server faults are planned), a dead or wedged server is respawned from
-the newest valid checkpoint, its new port is broadcast to the workers
-through a shared cell, and the epoch is replayed; the failover draws
-from the same ``max_restarts`` budget as a pool rebuild.  Wire faults
-(``conn-drop`` / ``frame-delay`` / ``frame-corrupt``) are cheaper
-still: the workers heal them in place by reconnect-and-resume, no
-recovery action and no budget at all.
+server faults are planned) it is respawned from the newest valid
+checkpoint, its new port is broadcast to the workers through a shared
+cell, and the epoch is replayed.  Wire faults (``conn-drop`` /
+``frame-delay`` / ``frame-corrupt``) never reach the loop: the workers
+heal them in place by reconnect-and-resume.
 """
 
 from __future__ import annotations
@@ -35,22 +28,22 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from ..faults import FaultPlan, RecoveryPolicy
+from ..faults.supervise import MeasuredResult, reap, reap_pool, supervise_epochs
 from ..models.base import Matrix, Model
 from ..sgd.config import SGDConfig
-from ..sgd.convergence import LossCurve
 from ..telemetry import keys
 from ..telemetry.session import AnyTelemetry, ensure_telemetry
 from ..utils.errors import ConfigurationError, ServerDiedError, WorkerError
 from ..utils.rng import DEFAULT_SEED
 from .checkpoint import CheckpointPolicy
 from .server import ShardServer, default_ps_shards
-from .supervisor import LocalServerHandle, RemoteServerHandle
+from .supervisor import RemoteServerHandle
 from .worker import worker_main
 
 __all__ = ["PsSchedule", "PsTrainResult", "train_ps", "default_ps_nodes"]
@@ -137,13 +130,7 @@ class PsSchedule:
             raise ConfigurationError(
                 "checkpoint triggers need a checkpoint_dir to write into"
             )
-        if self.checkpoint_dir is not None:
-            # Delegate trigger validation; raises ConfigurationError.
-            CheckpointPolicy(
-                self.checkpoint_dir,
-                every_items=self.checkpoint_every,
-                every_seconds=self.checkpoint_seconds,
-            )
+        self.checkpoint_policy()  # validates the triggers
 
     def checkpoint_policy(self) -> CheckpointPolicy | None:
         """The schedule's checkpoint fields as a server policy."""
@@ -156,52 +143,21 @@ class PsSchedule:
         )
 
 
-@dataclass
-class PsTrainResult:
+@dataclass(kw_only=True)
+class PsTrainResult(MeasuredResult):
     """Outcome of a measured parameter-server run."""
 
-    curve: LossCurve
-    params: np.ndarray
     nodes: int
     shards: int
-    batch_size: int
     max_staleness: int | None
-    epochs_run: int
-    diverged: bool
-    #: Measured seconds per optimisation epoch (loss evals excluded).
-    wall_seconds_per_epoch: float
-    #: Measured optimisation seconds across all epochs.
-    wall_seconds_total: float
-    #: Aggregated event totals, keyed by the telemetry vocabulary
-    #: (``ps.*`` wire counters included).
-    counters: dict[str, float] = field(default_factory=dict)
     #: Nodes still in the pool at the end (== ``nodes`` unless a
     #: repartition recovery shrank it).
     nodes_final: int = 0
-    #: Full-pool respawn recoveries performed.
-    restarts: int = 0
-    #: Repartition recoveries performed (pool shrank by one each time).
-    repartitions: int = 0
-    #: Epochs executed degraded: fewer nodes than requested, or on a
-    #: NaN-scrubbed snapshot.
-    degraded_epochs: int = 0
     #: Crash-restart failovers of the shard server performed.
     server_failovers: int = 0
     #: Wall seconds from the last failover's detection to the first
     #: post-recovery push (``None`` when no failover completed).
     time_to_repair_seconds: float | None = None
-    #: Chronological recovery trajectory, recorded into run manifests.
-    recovery: list[dict] = field(default_factory=list)
-
-    @property
-    def updates_applied(self) -> float:
-        """Examples pushed into the shard server across all nodes."""
-        return self.counters.get(keys.UPDATES_APPLIED, 0.0)
-
-    @property
-    def faults_injected(self) -> float:
-        """Planned faults the workers actually injected."""
-        return self.counters.get(keys.FAULT_INJECTED, 0.0)
 
     @property
     def pull_rounds_per_update(self) -> float:
@@ -249,18 +205,214 @@ def _wait_epoch(server, procs: list, timeout: float, epoch: int) -> None:
         server.wait_epoch_tick(0.1)
 
 
-def _teardown_nodes(procs: list, grace: float = 2.0) -> None:
-    """Terminate and reap every node process.  On return all joined."""
-    for p in procs:
-        if p.is_alive():
-            p.terminate()
-    deadline = time.perf_counter() + grace
-    for p in procs:
-        p.join(max(0.05, deadline - time.perf_counter()))
-    for p in procs:
-        if p.is_alive():  # pragma: no cover - defensive
-            p.kill()
-            p.join()
+@dataclass
+class _PsBackend:
+    """The parameter-server transport under :func:`supervise_epochs`.
+
+    The model lives in a shard server — in this process, or supervised
+    in its own (:class:`RemoteServerHandle`; both present one surface)
+    — and an epoch is over when every node's ``EPOCH_DONE`` has
+    arrived on its ordered stream.
+    """
+
+    model: Model
+    X: Matrix
+    y: np.ndarray
+    init_params: np.ndarray
+    config: SGDConfig
+    schedule: PsSchedule
+    fault_plan: FaultPlan
+    fail_fast: bool
+    unit = "nodes"
+
+    def __post_init__(self) -> None:
+        config, schedule, init_params = self.config, self.schedule, self.init_params
+        fault_plan = self.fault_plan
+        self._seed = config.seed if config.seed is not None else DEFAULT_SEED
+        n = self.X.shape[0]
+        self.width = min(schedule.nodes, n)
+        self.epoch_timeout = schedule.epoch_timeout
+        resolve = {"run_seed": self._seed, "epoch_timeout": schedule.epoch_timeout}
+        self.assignments = fault_plan.resolve_nodes(self.width, **resolve)
+        self._wire_assignments = fault_plan.resolve_wire(self.width, **resolve)
+        self._server_specs = fault_plan.resolve_server(
+            epoch_timeout=schedule.epoch_timeout
+        )
+        self._ckpt_policy = schedule.checkpoint_policy()
+        if self._server_specs and self._ckpt_policy is None:
+            raise ConfigurationError(
+                "server faults need checkpointing (set checkpoint_dir): killing "
+                "an uncheckpointed server would silently restart training from "
+                "scratch instead of exercising failover"
+            )
+        self.shards = schedule.shards or default_ps_shards(init_params.shape[0])
+        staleness = schedule.max_staleness
+        self.span = (
+            "ps.optimize",
+            {
+                "nodes": self.width,
+                "shards": self.shards,
+                "batch_size": schedule.batch_size,
+                "max_staleness": -1 if staleness is None else staleness,
+                "step_size": config.step_size,
+            },
+        )
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
+        self._procs: list = []
+        self._failovers = 0
+        self._server_faults_fired = 0
+        if schedule.server_process or self._server_specs:
+            # Every worker must finish its pass before a server fault
+            # fires: the trigger is the run's per-epoch push count,
+            # halved server-side.
+            pushes_per_epoch = sum(
+                -(-np.arange(k, n, self.width).shape[0] // schedule.batch_size)
+                for k in range(self.width)
+            )
+            self.server: ShardServer | RemoteServerHandle = RemoteServerHandle(
+                self._ctx,
+                init_params=init_params,
+                shards=self.shards,
+                max_staleness=schedule.max_staleness,
+                expected_workers=self.width,
+                checkpoint=self._ckpt_policy,
+                server_faults=self._server_specs,
+                pushes_per_epoch=pushes_per_epoch if self._server_specs else None,
+                probe_timeout=min(5.0, max(0.5, schedule.epoch_timeout / 4.0)),
+            )
+        else:
+            self.server = ShardServer(
+                init_params,
+                self.shards,
+                max_staleness=schedule.max_staleness,
+                expected_workers=self.width,
+                checkpoint=self._ckpt_policy,
+            )
+        # The workers' view of the server address: a failover respawns
+        # the server on a fresh port and rewrites this cell, and every
+        # redial re-reads it — the broadcast that makes mid-run healing
+        # possible.
+        self._port_cell = self._ctx.Value("i", self.server.port)
+
+    def spawn(self, width: int, next_epoch: int, assignments: dict) -> None:
+        if self._procs:
+            # A rebuilt pool registers from scratch; the shard state
+            # stays put on the server.
+            self.server.reset_pool(width)
+        self._procs = [
+            self._ctx.Process(
+                target=worker_main,
+                name=f"ps-node-{k}",
+                args=(
+                    self.server.host,
+                    self._port_cell,
+                    self.model,
+                    self.X,
+                    self.y,
+                    np.arange(k, self.X.shape[0], width, dtype=np.int64),
+                    width,
+                    k,
+                    self.config.step_size,
+                    self.config.max_epochs - (next_epoch - 1),
+                    self.schedule.batch_size,
+                    self._seed,
+                    tuple(assignments.get(k, ())),
+                    next_epoch - 1,
+                    tuple(self._wire_assignments.get(k, ())),
+                ),
+            )
+            for k in range(width)
+        ]
+        for p in self._procs:
+            p.start()
+
+    def run_epoch(self, epoch: int, timeout: float) -> None:
+        self.server.release_epoch(epoch)
+        _wait_epoch(self.server, self._procs, timeout, epoch)
+        if self._ckpt_policy is not None:
+            # Boundary checkpoint, on the clock — it is per-epoch work
+            # the tier does: makes "replay the interrupted epoch" the
+            # worst case after any later server death.
+            self.server.checkpoint_now(boundary=True)
+
+    def teardown_pool(self) -> None:
+        # A node blocked on its socket will not leave on its own.
+        for p in self._procs:
+            if p.is_alive():
+                p.terminate()
+        reap(self._procs, 2.0)
+
+    def snapshot(self) -> np.ndarray:
+        # Every live node is blocked at the epoch barrier and all its
+        # pushes preceded its EPOCH_DONE on the same ordered stream:
+        # the shards are quiescent.
+        return self.server.snapshot()
+
+    def write_params(self, params: np.ndarray) -> None:
+        self.server.write_params(params)
+
+    def failover(self, epoch: int, err: ServerDiedError) -> None:
+        """Crash-restart the server from its newest checkpoint.
+
+        The workers are not touched: each one's next frame fails, it
+        redials the port cell, resumes from its server-side clock and
+        replays only the unacknowledged tail.
+        """
+        # The fault that killed this generation must not re-arm on the
+        # respawned server: drop the first spec that was due.  SIGKILL
+        # loses the server-side FAULT_INJECTED bump, so count it here.
+        due = next(
+            (i for i, s in enumerate(self._server_specs) if s["epoch"] <= epoch),
+            None,
+        )
+        if due is not None:
+            del self._server_specs[due]
+            self._server_faults_fired += 1
+        self._port_cell.value = self.server.respawn(
+            server_faults=self._server_specs
+        )
+        self._failovers += 1
+
+    def finish(
+        self, epochs_run: int, early: bool, timeout: float
+    ) -> tuple[np.ndarray | None, list[dict]]:
+        exit_log: list[dict] = []
+        try:
+            # Every node's barrier ack carries the stop flag, each
+            # answers with BYE and exits 0.
+            self.server.release_epoch(epochs_run, stop=True)
+            exit_log += reap_pool(
+                self._procs, timeout, self.unit, epochs_run, self.fail_fast
+            )
+            return self.server.snapshot(), exit_log
+        except ServerDiedError as err:
+            # The run's result is already recorded; a server death
+            # during the exit handshake costs only the stragglers (the
+            # loop reaps them) and the final snapshot.
+            exit_log.append(
+                {
+                    "action": "server_lost_at_exit",
+                    "epoch": epochs_run,
+                    "cause": err.describe(),
+                }
+            )
+            return None, exit_log
+
+    def counters(self) -> dict[str, float]:
+        totals = dict(self.server.counters)
+        totals.setdefault(keys.UPDATES_APPLIED, 0.0)
+        totals[keys.GRAD_EVALS] = totals[keys.UPDATES_APPLIED]
+        totals[keys.ASYNC_ROUNDS] = totals.get(keys.PS_PUSHES, 0.0)
+        totals[keys.FAULT_INJECTED] = float(
+            self.server.faults_reported + self._server_faults_fired
+        )
+        totals[keys.PS_SERVER_FAILOVERS] = float(self._failovers)
+        return totals
+
+    def close(self) -> None:
+        self.server.close()
 
 
 def train_ps(
@@ -304,392 +456,32 @@ def train_ps(
             "unregularised objectives (l2=0)"
         )
     tel = ensure_telemetry(telemetry)
-    n = X.shape[0]
-    requested_nodes = min(schedule.nodes, n)
-    seed = config.seed if config.seed is not None else DEFAULT_SEED
-    budget = recovery.max_restarts if recovery is not None else 0
-    assignments: dict[int, list[dict[str, Any]]] = (
-        fault_plan.resolve_nodes(
-            requested_nodes, run_seed=seed, epoch_timeout=schedule.epoch_timeout
-        )
-        if fault_plan
-        else {}
-    )
-    wire_assignments: dict[int, list[dict[str, Any]]] = (
-        fault_plan.resolve_wire(
-            requested_nodes, run_seed=seed, epoch_timeout=schedule.epoch_timeout
-        )
-        if fault_plan
-        else {}
-    )
-    server_specs: list[dict[str, Any]] = (
-        fault_plan.resolve_server(epoch_timeout=schedule.epoch_timeout)
-        if fault_plan
-        else []
-    )
-    ckpt_policy = schedule.checkpoint_policy()
-    if server_specs and ckpt_policy is None:
-        raise ConfigurationError(
-            "server faults need checkpointing (set checkpoint_dir): killing "
-            "an uncheckpointed server would silently restart training from "
-            "scratch instead of exercising failover"
-        )
-    use_server_process = schedule.server_process or bool(server_specs)
-
     init_params = np.asarray(init_params, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        initial = float(model.loss(X, y, init_params))
-    tel.count(keys.LOSS_EVALS)
-    curve = LossCurve()
-    curve.record(0, initial)
-    limit = config.divergence_factor * max(initial, 1e-12)
-
-    shards = (
-        schedule.shards
-        if schedule.shards is not None
-        else default_ps_shards(init_params.shape[0])
+    plan = fault_plan or FaultPlan(specs=())
+    backend = _PsBackend(
+        model, X, y, init_params, config, schedule, plan, recovery is None
     )
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    # Every worker must finish its pass before a server fault fires:
-    # the trigger is the run's per-epoch push count, halved server-side.
-    pushes_per_epoch = sum(
-        -(-np.arange(k, n, requested_nodes).shape[0] // schedule.batch_size)
-        for k in range(requested_nodes)
+    run = supervise_epochs(
+        backend, model, X, y, init_params, config, recovery, snapshot, tel
     )
-    if use_server_process:
-        handle = RemoteServerHandle(
-            ctx,
-            init_params=init_params,
-            shards=shards,
-            max_staleness=schedule.max_staleness,
-            expected_workers=requested_nodes,
-            checkpoint=ckpt_policy,
-            server_faults=server_specs,
-            pushes_per_epoch=pushes_per_epoch if server_specs else None,
-            probe_timeout=min(5.0, max(0.5, schedule.epoch_timeout / 4.0)),
-        )
-    else:
-        handle = LocalServerHandle(
-            ShardServer(
-                init_params,
-                shards,
-                max_staleness=schedule.max_staleness,
-                expected_workers=requested_nodes,
-                checkpoint=ckpt_policy,
-            )
-        )
-    # The workers' view of the server address: a failover respawns the
-    # server on a fresh port and rewrites this cell, and every redial
-    # re-reads it — the broadcast that makes mid-run healing possible.
-    port_cell = ctx.Value("i", handle.port)
-    procs: list = []
-    diverged = False
-    epochs_run = 0
-    epoch_walls: list[float] = []
-    active_nodes = requested_nodes
-    timeout = schedule.epoch_timeout
-    recoveries_used = 0
-    restarts = 0
-    repartitions = 0
-    degraded_epochs = 0
-    server_failovers = 0
-    server_faults_fired = 0
-    recovery_log: list[dict] = []
-
-    def _spawn(next_epoch: int) -> None:
-        """(Re)build the node pool to run epochs ``next_epoch..max``."""
-        nonlocal procs
-        partitions = [
-            np.arange(k, n, active_nodes, dtype=np.int64)
-            for k in range(active_nodes)
-        ]
-        procs = [
-            ctx.Process(
-                target=worker_main,
-                name=f"ps-node-{k}",
-                args=(
-                    handle.host,
-                    port_cell,
-                    model,
-                    X,
-                    y,
-                    partitions[k],
-                    active_nodes,
-                    k,
-                    config.step_size,
-                    config.max_epochs - (next_epoch - 1),
-                    schedule.batch_size,
-                    seed,
-                    tuple(assignments.get(k, ())),
-                    next_epoch - 1,
-                    tuple(wire_assignments.get(k, ())),
-                ),
-            )
-            for k in range(active_nodes)
-        ]
-        for p in procs:
-            p.start()
-
-    try:
-        last_good = init_params.copy()
-        if snapshot is not None:
-            # Version 1: the initial model, published before any node
-            # connects — an attached scoring service never cold-starts.
-            snapshot.publish(init_params, epoch=0, loss=initial)
-        _spawn(1)
-
-        with tel.span(
-            "ps.optimize",
-            nodes=requested_nodes,
-            shards=shards,
-            batch_size=schedule.batch_size,
-            max_staleness=(
-                -1 if schedule.max_staleness is None else schedule.max_staleness
-            ),
-            step_size=config.step_size,
-        ) as opt_span:
-            epoch = 1
-            while epoch <= config.max_epochs:
-                t0 = time.perf_counter()
-                scrubbed = 0
-                try:
-                    handle.release_epoch(epoch)
-                    try:
-                        _wait_epoch(handle, procs, timeout, epoch)
-                    except WorkerError as err:
-                        _teardown_nodes(procs)
-                        if recovery is None or recoveries_used >= budget:
-                            raise
-                        recoveries_used += 1
-                        timeout *= recovery.backoff
-                        if (
-                            err.worker_id is not None
-                            and recovery.mode == "repartition"
-                            and active_nodes > 1
-                        ):
-                            # The dead node's examples round-robin onto
-                            # the survivors; capacity degrades, coverage
-                            # does not.  The shard state stays put on
-                            # the server.
-                            active_nodes -= 1
-                            repartitions += 1
-                            action = "repartition"
-                        else:
-                            restarts += 1
-                            action = "respawn"
-                        # Faults at or before the interrupted epoch had
-                        # their chance; they must not re-fire on the
-                        # rebuilt pool re-running this epoch.
-                        assignments = {
-                            k: [s for s in v if s["epoch"] > epoch]
-                            for k, v in assignments.items()
-                        }
-                        recovery_log.append(
-                            {
-                                "action": action,
-                                "epoch": epoch,
-                                "nodes": active_nodes,
-                                "epoch_timeout": timeout,
-                                "cause": err.describe(),
-                            }
-                        )
-                        handle.reset_pool(active_nodes)
-                        _spawn(epoch)
-                        continue
-                    if ckpt_policy is not None:
-                        # Boundary checkpoint: makes "replay the
-                        # interrupted epoch" the worst case after any
-                        # later server death.
-                        handle.checkpoint_boundary()
-                    # Every live node is blocked at the epoch barrier
-                    # and all its pushes preceded its EPOCH_DONE on the
-                    # same ordered stream: the shards are quiescent
-                    # while the loss is evaluated — excluded from epoch
-                    # time.
-                    params_now = handle.snapshot()
-                    finite = bool(np.all(np.isfinite(params_now)))
-                    if (
-                        not finite
-                        and recovery is not None
-                        and recovery.scrub_nans
-                        and recoveries_used < budget
-                    ):
-                        bad = ~np.isfinite(params_now)
-                        params_now[bad] = last_good[bad]
-                        handle.write_params(params_now)
-                        scrubbed = int(bad.sum())
-                        finite = True
-                except ServerDiedError as err:
-                    # Crash-restart failover.  The workers are NOT torn
-                    # down: each one's next frame fails, it redials the
-                    # port cell, resumes from its server-side clock and
-                    # replays only the unacknowledged tail.
-                    if recovery is None or recoveries_used >= budget:
-                        raise
-                    recoveries_used += 1
-                    timeout *= recovery.backoff
-                    server_failovers += 1
-                    # The fault that killed this generation must not
-                    # re-arm on the respawned server: drop the first
-                    # spec that was due.  SIGKILL loses the server-side
-                    # FAULT_INJECTED bump, so the parent counts it.
-                    due = next(
-                        (
-                            i
-                            for i, s in enumerate(server_specs)
-                            if s["epoch"] <= epoch
-                        ),
-                        None,
-                    )
-                    if due is not None:
-                        del server_specs[due]
-                        server_faults_fired += 1
-                    recovery_log.append(
-                        {
-                            "action": "server_failover",
-                            "epoch": epoch,
-                            "nodes": active_nodes,
-                            "epoch_timeout": timeout,
-                            "cause": err.describe(),
-                        }
-                    )
-                    port_cell.value = handle.respawn(server_faults=server_specs)
-                    continue
-                epoch_walls.append(time.perf_counter() - t0)
-                epochs_run = epoch
-                tel.count(keys.EPOCHS)
-                degraded = active_nodes < requested_nodes
-                stop = epoch == config.max_epochs
-                if scrubbed:
-                    recoveries_used += 1
-                    degraded = True
-                    recovery_log.append(
-                        {
-                            "action": "nan_scrub",
-                            "epoch": epoch,
-                            "coordinates": scrubbed,
-                        }
-                    )
-                if not finite:
-                    curve.record(epoch, float("inf"))
-                    diverged = True
-                    stop = True
-                else:
-                    with np.errstate(over="ignore"):
-                        loss = float(model.loss(X, y, params_now))
-                    tel.count(keys.LOSS_EVALS)
-                    if not np.isfinite(loss) or loss > limit:
-                        curve.record(epoch, float("inf"))
-                        diverged = True
-                        stop = True
-                    else:
-                        curve.record(epoch, loss)
-                        last_good = params_now
-                        if snapshot is not None:
-                            snapshot.publish(params_now, epoch=epoch, loss=loss)
-                        if (
-                            config.target_loss is not None
-                            and loss <= config.target_loss
-                        ):
-                            stop = True
-                if degraded:
-                    degraded_epochs += 1
-                if stop:
-                    break
-                epoch += 1
-            opt_span.set_attribute("diverged", diverged)
-            opt_span.set_attribute("recoveries", recoveries_used)
-
-        # Release the pool into a clean exit: every node's barrier ack
-        # carries the stop flag, each answers with BYE and exits 0.
-        try:
-            handle.release_epoch(epochs_run, stop=True)
-            deadline = time.perf_counter() + timeout
-            for p in procs:
-                p.join(max(0.1, deadline - time.perf_counter()))
-            hung = [(k, p) for k, p in enumerate(procs) if p.is_alive()]
-            if hung:
-                if recovery is None:  # pragma: no cover - defensive
-                    raise WorkerError(
-                        f"{len(hung)} parameter-server node(s) failed to exit",
-                        phase="join",
-                    )
-                for _, p in hung:
-                    p.terminate()
-                    p.join()
-                recovery_log.append(
-                    {
-                        "action": "stragglers_terminated",
-                        "epoch": epochs_run,
-                        "nodes": [k for k, _ in hung],
-                    }
-                )
-            params = handle.snapshot()
-        except ServerDiedError as err:
-            # The run's result is already recorded; a server death
-            # during the exit handshake costs only the stragglers
-            # (torn down below) and the final snapshot falls back to
-            # the last finite one.
-            recovery_log.append(
-                {
-                    "action": "server_lost_at_exit",
-                    "epoch": epochs_run,
-                    "cause": err.describe(),
-                }
-            )
-            params = last_good.copy()
-    finally:
-        _teardown_nodes(procs)
-        handle.close()
-
-    wall_total = float(sum(epoch_walls))
-    wall_per_epoch = wall_total / max(1, len(epoch_walls))
-    counter_totals = handle.counters()
-    counter_totals.setdefault(keys.UPDATES_APPLIED, 0.0)
-    counter_totals[keys.GRAD_EVALS] = counter_totals[keys.UPDATES_APPLIED]
-    counter_totals[keys.ASYNC_ROUNDS] = counter_totals.get(keys.PS_PUSHES, 0.0)
-    counter_totals[keys.FAULT_INJECTED] = float(
-        handle.faults_reported + server_faults_fired
-    )
-    counter_totals[keys.FAULT_WORKER_RESTARTS] = float(restarts)
-    counter_totals[keys.FAULT_REPARTITIONS] = float(repartitions)
-    counter_totals[keys.FAULT_DEGRADED_EPOCHS] = float(degraded_epochs)
-    counter_totals[keys.PS_SERVER_FAILOVERS] = float(server_failovers)
-    repairs = list(getattr(handle, "repairs", ()))
-    for entry, seconds in zip(
-        (e for e in recovery_log if e["action"] == "server_failover"), repairs
-    ):
+    failovers = [e for e in run["recovery"] if e["action"] == "server_failover"]
+    # Only a supervised server can have failed over; it timed each repair.
+    repairs = list(backend.server.repairs) if failovers else []
+    for entry, seconds in zip(failovers, repairs):
         entry["time_to_repair_seconds"] = seconds
-    for key, value in counter_totals.items():
-        tel.count(key, value)
-    tel.set_gauge(keys.WALL_SECONDS_PER_EPOCH, wall_per_epoch)
-    tel.set_gauge(keys.WALL_SECONDS_TOTAL, wall_total)
     if repairs:
         tel.set_gauge(keys.PS_TIME_TO_REPAIR_SECONDS, repairs[-1])
-    if counter_totals[keys.UPDATES_APPLIED]:
-        tel.set_gauge(
-            keys.PS_PULL_ROUNDS_PER_UPDATE,
-            counter_totals.get(keys.PS_PULL_ROUNDS, 0.0)
-            / counter_totals[keys.UPDATES_APPLIED],
-        )
-
-    return PsTrainResult(
-        curve=curve,
-        params=params,
-        nodes=requested_nodes,
-        shards=shards,
+    result = PsTrainResult(
+        **run,
         batch_size=schedule.batch_size,
+        nodes=backend.width,
+        shards=backend.shards,
         max_staleness=schedule.max_staleness,
-        epochs_run=epochs_run,
-        diverged=diverged,
-        wall_seconds_per_epoch=wall_per_epoch,
-        wall_seconds_total=wall_total,
-        counters=counter_totals,
-        nodes_final=active_nodes,
-        restarts=restarts,
-        repartitions=repartitions,
-        degraded_epochs=degraded_epochs,
-        server_failovers=server_failovers,
+        # Each repartition narrowed the pool by exactly one.
+        nodes_final=backend.width - run["repartitions"],
+        server_failovers=len(failovers),
         time_to_repair_seconds=repairs[-1] if repairs else None,
-        recovery=recovery_log,
     )
+    if result.updates_applied:
+        tel.set_gauge(keys.PS_PULL_ROUNDS_PER_UPDATE, result.pull_rounds_per_update)
+    return result

@@ -1,14 +1,16 @@
-"""Deterministic fault injection and recovery for the measured backend.
+"""Deterministic fault injection and recovery for the measured backends.
 
 ``repro.faults`` makes failure a *scenario the system measures and
 survives* instead of a crash: :class:`FaultPlan` schedules seeded,
 reproducible faults (worker kills, stalls, late barrier arrivals, NaN
-poisoning) into a :func:`repro.parallel.train_shm` run, and
-:class:`RecoveryPolicy` bounds how the parent recovers — repartition
-onto survivors or respawn, with exponential timeout backoff and a
-shared retry budget.  Recovery actions surface as ``fault.*``
-telemetry counters and a per-run recovery trajectory in the manifest
-(see ``docs/BACKENDS.md`` and ``docs/OBSERVABILITY.md``).
+poisoning) into a measured run, and :class:`RecoveryPolicy` bounds how
+the parent recovers — repartition onto survivors or respawn, with
+exponential timeout backoff and a shared retry budget.  The policy is
+interpreted in one place, the supervised epoch loop both measured
+backends run (:mod:`repro.faults.supervise`; imported by the backends,
+not from here).  Recovery actions surface as ``fault.*`` telemetry
+counters and a per-run recovery trajectory in the manifest (see
+``docs/RESILIENCE.md`` and ``docs/OBSERVABILITY.md``).
 
 The same machinery extends one layer up: grid-level fault kinds
 (``cell-kill`` / ``cell-stall`` / ``cell-nan``) chaos-test the

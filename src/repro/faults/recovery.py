@@ -2,27 +2,26 @@
 
 The HOGWILD! line of work argues lock-free SGD is robust to
 interference; this module extends that robustness from *races* to
-*failures*.  A :class:`RecoveryPolicy` bounds how hard the
-shared-memory parent tries to keep a run alive:
+*failures*.  A :class:`RecoveryPolicy` bounds how hard the supervised
+epoch loop of the measured backends
+(:func:`repro.faults.supervise.supervise_epochs`) tries to keep a run
+alive:
 
-* a worker **death** is recovered by rebuilding the pool — either
-  re-partitioning the dead worker's examples over the survivors
+* a pool member's **death** is recovered by rebuilding the pool —
+  re-partitioning its examples over the survivors
   (``mode="repartition"``, the default: capacity degrades, coverage
   does not) or respawning at full strength (``mode="respawn"``);
-* a barrier **timeout** (a stalled worker — no corpse to identify) is
+* an epoch **timeout** (a stalled member — no corpse to identify) is
   always recovered by a full respawn;
-* a **non-finite model snapshot** (poisoned gradients) is scrubbed:
-  the bad coordinates are restored from the last finite snapshot and
-  the epoch is recorded as degraded.
+* a **non-finite model snapshot** (poisoned gradients) is scrubbed from
+  the last finite snapshot and the epoch is recorded as degraded;
+* a **lost server** (parameter-server backend) is failed over.
 
-Every recovery action — respawn, repartition, or NaN scrub — consumes
-one unit of the shared ``max_restarts`` budget, and each rebuild
-multiplies the epoch timeout by ``backoff`` (a slow machine that
-caused one timeout gets more headroom, not a retry storm).  When the
-budget is exhausted the next failure raises
-:class:`~repro.utils.errors.WorkerError` exactly as an un-recovered
-run would, with all processes joined and both shared segments
-unlinked.
+Every action consumes one unit of the shared ``max_restarts`` budget,
+and each rebuild multiplies the epoch timeout by ``backoff`` (a slow
+machine that caused one timeout gets more headroom, not a retry
+storm).  Past the budget the next failure raises exactly as an
+un-recovered run would, with the pool reaped and the backend closed.
 """
 
 from __future__ import annotations
@@ -39,14 +38,13 @@ RECOVERY_MODES: tuple[str, ...] = ("repartition", "respawn")
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """Bounded-retry recovery for the shared-memory backend.
+    """Bounded-retry recovery for the measured backends (shm and ps).
 
     Attributes
     ----------
     max_restarts:
-        Total recovery budget (respawns + repartitions + NaN scrubs;
-        in the parameter-server backend, server failovers draw from
-        this same budget — a run that restarts its server once has one
+        Total recovery budget: respawns + repartitions + NaN scrubs +
+        server failovers (a run that restarts its server once has one
         fewer worker rebuild left).
         ``0`` disables recovery — identical to passing no policy.
     backoff:
@@ -85,7 +83,7 @@ class CellRetryPolicy:
 
     The grid-level sibling of :class:`RecoveryPolicy`: the same
     philosophy — a shared recovery budget, exponential backoff, keep
-    making progress — applied to whole grid cells instead of shm
+    making progress — applied to whole grid cells instead of pool
     workers.  Used by :class:`repro.experiments.executor.GridExecutor`
     in keep-going mode; see docs/RESILIENCE.md.
 

@@ -41,21 +41,15 @@ on the paper's machine.  Two quantities of that race are *measured*:
 
 Faults and recovery
 -------------------
-A :class:`repro.faults.FaultPlan` injects seeded, reproducible faults
-(worker kills, stalls past the watchdog window, late barrier arrivals,
-NaN-poisoned gradient windows) into the workers, and a
-:class:`repro.faults.RecoveryPolicy` bounds how the parent survives
-them: dead workers are recovered by re-partitioning their examples
-over the survivors (or respawning the pool), barrier timeouts by a
-full respawn with exponential backoff on the epoch timeout, and
-non-finite model snapshots by scrubbing the poisoned coordinates from
-the last finite snapshot.  Every action consumes the policy's shared
-retry budget and is recorded — ``fault.*`` telemetry counters plus a
-per-run recovery trajectory on the result.  Without a policy (the
-default) behaviour is unchanged: the parent terminates the remaining
-workers, releases the shared buffers and raises
-:class:`~repro.utils.errors.WorkerError` — no leaked processes or
-shared-memory segments on any path.
+The epoch loop, the loss curve and the whole recovery policy are
+:func:`repro.faults.supervise.supervise_epochs`, shared with the
+parameter-server backend (docs/RESILIENCE.md).  What this module adds
+is the transport under it: a :class:`repro.faults.FaultPlan` injects
+seeded worker kills, stalls, late barrier arrivals and NaN-poisoned
+gradient windows inside the workers; a dead worker or a timed-out
+barrier surfaces as a structured
+:class:`~repro.utils.errors.WorkerError` from the barrier watchdog; and
+on every path the pool is joined and both shared segments unlinked.
 """
 
 from __future__ import annotations
@@ -64,18 +58,18 @@ import multiprocessing as mp
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any
 
 import numpy as np
 
 from ..faults import FaultPlan, RecoveryPolicy
+from ..faults.supervise import MeasuredResult, reap, reap_pool, supervise_epochs
 from ..models.base import Matrix, Model
 from ..sgd.config import SGDConfig
-from ..sgd.convergence import LossCurve
 from ..telemetry import keys
-from ..telemetry.session import AnyTelemetry, ensure_telemetry
+from ..telemetry.session import AnyTelemetry
 from ..utils.errors import ConfigurationError, WorkerError
 from ..utils.rng import DEFAULT_SEED, derive_rng
 
@@ -137,46 +131,14 @@ class ShmSchedule:
             )
 
 
-@dataclass
-class ShmTrainResult:
+@dataclass(kw_only=True)
+class ShmTrainResult(MeasuredResult):
     """Outcome of a measured shared-memory run."""
 
-    curve: LossCurve
-    params: np.ndarray
     workers: int
-    batch_size: int
-    epochs_run: int
-    diverged: bool
-    #: Measured seconds per optimisation epoch (loss evals excluded).
-    wall_seconds_per_epoch: float
-    #: Measured optimisation seconds across all epochs.
-    wall_seconds_total: float
-    #: Aggregated event totals, keyed by the telemetry vocabulary.
-    counters: dict[str, float] = field(default_factory=dict)
     #: Workers still in the pool at the end (== ``workers`` unless a
     #: repartition recovery shrank it).
     workers_final: int = 0
-    #: Full-pool respawn recoveries performed.
-    restarts: int = 0
-    #: Repartition recoveries performed (pool shrank by one each time).
-    repartitions: int = 0
-    #: Epochs executed degraded: fewer workers than requested, or on a
-    #: NaN-scrubbed snapshot.
-    degraded_epochs: int = 0
-    #: Chronological recovery trajectory — one dict per recovery action
-    #: (respawn / repartition / nan_scrub / ...), recorded into run
-    #: manifests.
-    recovery: list[dict] = field(default_factory=list)
-
-    @property
-    def updates_applied(self) -> float:
-        """Examples applied to the shared model across all workers."""
-        return self.counters.get(keys.UPDATES_APPLIED, 0.0)
-
-    @property
-    def faults_injected(self) -> float:
-        """Planned faults the workers actually injected."""
-        return self.counters.get(keys.FAULT_INJECTED, 0.0)
 
 
 def _worker_loop(
@@ -196,7 +158,6 @@ def _worker_loop(
     seed: int,
     start_barrier,
     end_barrier,
-    timeout: float,
     faults: tuple = (),
     epoch_offset: int = 0,
 ) -> None:
@@ -205,9 +166,7 @@ def _worker_loop(
     Barrier waits are untimed — the parent owns liveness.  A broken
     barrier means the parent is tearing the pool down (another worker
     died, or the run timed out); the worker exits quietly.  *faults*
-    is this worker's resolved slice of the run's fault plan; *timeout*
-    is kept only as the parent's watchdog window (stall durations are
-    resolved against it).
+    is this worker's resolved slice of the run's fault plan.
     """
     shm = shared_memory.SharedMemory(name=shm_name)
     cshm = shared_memory.SharedMemory(name=counters_name)
@@ -362,26 +321,164 @@ def _await_barrier(
         watchdog.join()
 
 
-def _teardown_pool(procs, barriers, grace: float = 2.0) -> None:
-    """Abort the pool's barriers and reap every worker process.
+@dataclass
+class _ShmBackend:
+    """The shared-memory transport under :func:`supervise_epochs`.
 
-    Healthy workers blocked at a barrier see the abort as a broken
-    barrier and exit on their own; anything still alive after *grace*
-    seconds (stalled, or mid-pass on a large partition) is terminated.
-    On return every process is joined.
+    The model is one shared buffer, an epoch is the stretch between the
+    start and the end barrier, and the per-worker counter block is
+    summed once the pool has exited.
     """
-    for b in barriers:
-        try:
-            b.abort()
-        except (ValueError, OSError):  # pragma: no cover - defensive
-            pass
-    deadline = time.perf_counter() + grace
-    for p in procs:
-        p.join(max(0.05, deadline - time.perf_counter()))
-    for p in procs:
-        if p.is_alive():
-            p.terminate()
-            p.join()
+
+    model: Model
+    X: Matrix
+    y: np.ndarray
+    init_params: np.ndarray
+    config: SGDConfig
+    schedule: ShmSchedule
+    fault_plan: FaultPlan
+    fail_fast: bool
+    unit = "workers"
+
+    def __post_init__(self) -> None:
+        config, schedule, init_params = self.config, self.schedule, self.init_params
+        self._seed = config.seed if config.seed is not None else DEFAULT_SEED
+        self.width = min(schedule.workers, self.X.shape[0])
+        self.epoch_timeout = schedule.epoch_timeout
+        self.span = (
+            "shm.optimize",
+            {
+                "workers": self.width,
+                "batch_size": schedule.batch_size,
+                "step_size": config.step_size,
+            },
+        )
+        self.assignments = self.fault_plan.resolve(
+            self.width, run_seed=self._seed, epoch_timeout=schedule.epoch_timeout
+        )
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
+        self._procs: list = []
+        self._barriers: tuple = ()
+        self._shm = shared_memory.SharedMemory(create=True, size=init_params.nbytes)
+        self._cshm = shared_memory.SharedMemory(
+            create=True, size=(_N_CTL + self.width * _N_SLOTS) * 8
+        )
+        self._shared = np.ndarray(
+            init_params.shape, dtype=np.float64, buffer=self._shm.buf
+        )
+        self._shared[:] = init_params
+        self._ctl = np.ndarray((_N_CTL,), dtype=np.int64, buffer=self._cshm.buf)
+        self._ctl[:] = 0
+        self._counters = np.ndarray(
+            (self.width, _N_SLOTS),
+            dtype=np.int64,
+            buffer=self._cshm.buf,
+            offset=_N_CTL * 8,
+        )
+        self._counters[:] = 0
+
+    def spawn(self, width: int, next_epoch: int, assignments: dict) -> None:
+        start, end = self._ctx.Barrier(width + 1), self._ctx.Barrier(width + 1)
+        self._barriers = (start, end)
+        self._procs = [
+            self._ctx.Process(
+                target=_worker_loop,
+                name=f"shm-worker-{k}",
+                args=(
+                    self._shm.name,
+                    self._cshm.name,
+                    self.model,
+                    self.X,
+                    self.y,
+                    np.arange(k, self.X.shape[0], width, dtype=np.int64),
+                    self._shared.shape[0],
+                    width,
+                    k,
+                    self.config.step_size,
+                    self.config.max_epochs - (next_epoch - 1),
+                    self.schedule.batch_size,
+                    self.schedule.track_conflicts,
+                    self._seed,
+                    start,
+                    end,
+                    tuple(assignments.get(k, ())),
+                    next_epoch - 1,
+                ),
+            )
+            for k in range(width)
+        ]
+        for p in self._procs:
+            p.start()
+
+    def run_epoch(self, epoch: int, timeout: float) -> None:
+        start, end = self._barriers
+        _await_barrier(start, self._procs, timeout, "epoch-start", epoch)
+        _await_barrier(end, self._procs, timeout, "epoch-end", epoch)
+
+    def teardown_pool(self) -> None:
+        # Healthy workers blocked at a barrier see the abort as a broken
+        # barrier and exit on their own; anything still alive after the
+        # grace (stalled, or mid-pass on a large partition) is killed.
+        for b in self._barriers:
+            try:
+                b.abort()
+            except (ValueError, OSError):  # pragma: no cover - defensive
+                pass
+        reap(self._procs, 2.0)
+
+    def snapshot(self) -> np.ndarray:
+        return self._shared.copy()
+
+    def write_params(self, params: np.ndarray) -> None:
+        self._shared[:] = params
+
+    def finish(
+        self, epochs_run: int, early: bool, timeout: float
+    ) -> tuple[np.ndarray, list[dict]]:
+        exit_log: list[dict] = []
+        if early:
+            # Workers that have epochs left wait at the start barrier:
+            # meet them there with the stop flag up.
+            self._ctl[_CTL_STOP] = 1
+            try:
+                _await_barrier(
+                    self._barriers[0], self._procs, timeout, "shutdown", epochs_run
+                )
+            except WorkerError as err:
+                if self.fail_fast:
+                    raise
+                # The run already has its result; the join below reaps
+                # the stragglers.
+                exit_log.append(
+                    {
+                        "action": "shutdown_failure_ignored",
+                        "epoch": epochs_run,
+                        "cause": err.describe(),
+                    }
+                )
+        exit_log += reap_pool(
+            self._procs, timeout, self.unit, epochs_run, self.fail_fast
+        )
+        self._totals = self._counters.sum(axis=0)
+        return self._shared.copy(), exit_log
+
+    def counters(self) -> dict[str, float]:
+        totals = self._totals  # summed at finish: the block is unlinked by now
+        return {
+            keys.UPDATES_APPLIED: float(totals[_SLOT_UPDATES]),
+            keys.GRAD_EVALS: float(totals[_SLOT_UPDATES]),
+            keys.ASYNC_ROUNDS: float(totals[_SLOT_ITEMS]),
+            keys.STALE_READS: float(totals[_SLOT_STALE]),
+            keys.UPDATE_CONFLICTS: float(totals[_SLOT_CONFLICTS]),
+            keys.FAULT_INJECTED: float(totals[_SLOT_FAULTS]),
+        }
+
+    def close(self) -> None:
+        for seg in (self._shm, self._cshm):
+            seg.close()
+            seg.unlink()
 
 
 def train_shm(
@@ -442,299 +539,18 @@ def train_shm(
             "the shared-memory backend implements the paper's unregularised "
             "objectives (l2=0)"
         )
-    tel = ensure_telemetry(telemetry)
-    n = X.shape[0]
-    requested_workers = min(schedule.workers, n)
-    seed = config.seed if config.seed is not None else DEFAULT_SEED
-    budget = recovery.max_restarts if recovery is not None else 0
-    assignments: dict[int, list[dict[str, Any]]] = (
-        fault_plan.resolve(
-            requested_workers, run_seed=seed, epoch_timeout=schedule.epoch_timeout
-        )
-        if fault_plan
-        else {}
-    )
-
     init_params = np.asarray(init_params, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        initial = float(model.loss(X, y, init_params))
-    tel.count(keys.LOSS_EVALS)
-    curve = LossCurve()
-    curve.record(0, initial)
-    limit = config.divergence_factor * max(initial, 1e-12)
-
-    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-    shm = shared_memory.SharedMemory(create=True, size=init_params.nbytes)
-    cshm = shared_memory.SharedMemory(
-        create=True, size=(_N_CTL + requested_workers * _N_SLOTS) * 8
+    plan = fault_plan or FaultPlan(specs=())
+    backend = _ShmBackend(
+        model, X, y, init_params, config, schedule, plan, recovery is None
     )
-    procs: list = []
-    start_barrier = end_barrier = None
-    diverged = False
-    epochs_run = 0
-    epoch_walls: list[float] = []
-    active_workers = requested_workers
-    timeout = schedule.epoch_timeout
-    recoveries_used = 0
-    restarts = 0
-    repartitions = 0
-    degraded_epochs = 0
-    recovery_log: list[dict] = []
-
-    def _spawn(next_epoch: int) -> None:
-        """(Re)build the worker pool to run epochs ``next_epoch..max``."""
-        nonlocal procs, start_barrier, end_barrier
-        partitions = [
-            np.arange(k, n, active_workers, dtype=np.int64)
-            for k in range(active_workers)
-        ]
-        start_barrier = ctx.Barrier(active_workers + 1)
-        end_barrier = ctx.Barrier(active_workers + 1)
-        procs = [
-            ctx.Process(
-                target=_worker_loop,
-                name=f"shm-worker-{k}",
-                args=(
-                    shm.name,
-                    cshm.name,
-                    model,
-                    X,
-                    y,
-                    partitions[k],
-                    init_params.shape[0],
-                    active_workers,
-                    k,
-                    config.step_size,
-                    config.max_epochs - (next_epoch - 1),
-                    schedule.batch_size,
-                    schedule.track_conflicts,
-                    seed,
-                    start_barrier,
-                    end_barrier,
-                    timeout,
-                    tuple(assignments.get(k, ())),
-                    next_epoch - 1,
-                ),
-            )
-            for k in range(active_workers)
-        ]
-        for p in procs:
-            p.start()
-
-    try:
-        shared = np.ndarray(init_params.shape, dtype=np.float64, buffer=shm.buf)
-        shared[:] = init_params
-        ctl = np.ndarray((_N_CTL,), dtype=np.int64, buffer=cshm.buf)
-        ctl[:] = 0
-        counters = np.ndarray(
-            (requested_workers, _N_SLOTS),
-            dtype=np.int64,
-            buffer=cshm.buf,
-            offset=_N_CTL * 8,
-        )
-        counters[:] = 0
-        last_good = init_params.copy()
-        if snapshot is not None:
-            # Version 1: the initial model.  A scoring service attached
-            # before the first epoch completes serves this instead of a
-            # cold-start error.
-            snapshot.publish(init_params, epoch=0, loss=initial)
-        _spawn(1)
-
-        with tel.span(
-            "shm.optimize",
-            workers=requested_workers,
-            batch_size=schedule.batch_size,
-            step_size=config.step_size,
-        ) as opt_span:
-            epoch = 1
-            while epoch <= config.max_epochs:
-                t0 = time.perf_counter()
-                try:
-                    _await_barrier(start_barrier, procs, timeout, "epoch-start", epoch)
-                    _await_barrier(end_barrier, procs, timeout, "epoch-end", epoch)
-                except WorkerError as err:
-                    _teardown_pool(procs, (start_barrier, end_barrier))
-                    if recovery is None or recoveries_used >= budget:
-                        raise
-                    recoveries_used += 1
-                    timeout *= recovery.backoff
-                    if (
-                        err.worker_id is not None
-                        and recovery.mode == "repartition"
-                        and active_workers > 1
-                    ):
-                        # The dead worker's examples round-robin onto
-                        # the survivors; capacity degrades, coverage
-                        # does not.
-                        active_workers -= 1
-                        repartitions += 1
-                        action = "repartition"
-                    else:
-                        restarts += 1
-                        action = "respawn"
-                    # Faults at or before the interrupted epoch had
-                    # their chance; they must not re-fire on the
-                    # rebuilt pool re-running this epoch.
-                    assignments = {
-                        k: [s for s in v if s["epoch"] > epoch]
-                        for k, v in assignments.items()
-                    }
-                    recovery_log.append(
-                        {
-                            "action": action,
-                            "epoch": epoch,
-                            "workers": active_workers,
-                            "epoch_timeout": timeout,
-                            "cause": err.describe(),
-                        }
-                    )
-                    _spawn(epoch)
-                    continue
-                epoch_walls.append(time.perf_counter() - t0)
-                epochs_run = epoch
-                tel.count(keys.EPOCHS)
-                # Workers idle at the next start barrier while the loss
-                # is evaluated on a snapshot — excluded from epoch time.
-                degraded = active_workers < requested_workers
-                params_now = shared.copy()
-                stop = epoch == config.max_epochs
-                finite = bool(np.all(np.isfinite(params_now)))
-                if (
-                    not finite
-                    and recovery is not None
-                    and recovery.scrub_nans
-                    and recoveries_used < budget
-                ):
-                    # Poisoned coordinates are restored from the last
-                    # finite snapshot; the workers are idle at the next
-                    # start barrier, so the write-back cannot race.
-                    recoveries_used += 1
-                    bad = ~np.isfinite(params_now)
-                    params_now[bad] = last_good[bad]
-                    shared[:] = params_now
-                    degraded = True
-                    finite = True
-                    recovery_log.append(
-                        {
-                            "action": "nan_scrub",
-                            "epoch": epoch,
-                            "coordinates": int(bad.sum()),
-                        }
-                    )
-                if not finite:
-                    curve.record(epoch, float("inf"))
-                    diverged = True
-                    stop = True
-                else:
-                    with np.errstate(over="ignore"):
-                        loss = float(model.loss(X, y, params_now))
-                    tel.count(keys.LOSS_EVALS)
-                    if not np.isfinite(loss) or loss > limit:
-                        curve.record(epoch, float("inf"))
-                        diverged = True
-                        stop = True
-                    else:
-                        curve.record(epoch, loss)
-                        last_good = params_now
-                        if snapshot is not None:
-                            # The workers are idle at the next start
-                            # barrier: params_now is a race-free copy.
-                            snapshot.publish(params_now, epoch=epoch, loss=loss)
-                        if (
-                            config.target_loss is not None
-                            and loss <= config.target_loss
-                        ):
-                            stop = True
-                if degraded:
-                    degraded_epochs += 1
-                if stop:
-                    if epoch < config.max_epochs:
-                        ctl[_CTL_STOP] = 1
-                        try:
-                            _await_barrier(
-                                start_barrier, procs, timeout, "shutdown", epoch
-                            )
-                        except WorkerError as err:
-                            if recovery is None:
-                                raise
-                            # The run already has its result; the
-                            # teardown below reaps the stragglers.
-                            recovery_log.append(
-                                {
-                                    "action": "shutdown_failure_ignored",
-                                    "epoch": epoch,
-                                    "cause": err.describe(),
-                                }
-                            )
-                    break
-                epoch += 1
-            opt_span.set_attribute("diverged", diverged)
-            opt_span.set_attribute("recoveries", recoveries_used)
-
-        deadline = time.perf_counter() + timeout
-        for p in procs:
-            p.join(max(0.1, deadline - time.perf_counter()))
-        hung = [(k, p) for k, p in enumerate(procs) if p.is_alive()]
-        if hung:
-            if recovery is None:  # pragma: no cover - defensive
-                raise WorkerError(
-                    f"{len(hung)} shared-memory worker(s) failed to exit",
-                    phase="join",
-                )
-            for _, p in hung:
-                p.terminate()
-                p.join()
-            recovery_log.append(
-                {
-                    "action": "stragglers_terminated",
-                    "epoch": epochs_run,
-                    "workers": [k for k, _ in hung],
-                }
-            )
-        params = shared.copy()
-        totals = counters.sum(axis=0)
-    finally:
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-                p.join()
-        shm.close()
-        shm.unlink()
-        cshm.close()
-        cshm.unlink()
-
-    wall_total = float(sum(epoch_walls))
-    wall_per_epoch = wall_total / max(1, len(epoch_walls))
-    counter_totals = {
-        keys.UPDATES_APPLIED: float(totals[_SLOT_UPDATES]),
-        keys.GRAD_EVALS: float(totals[_SLOT_UPDATES]),
-        keys.ASYNC_ROUNDS: float(totals[_SLOT_ITEMS]),
-        keys.STALE_READS: float(totals[_SLOT_STALE]),
-        keys.UPDATE_CONFLICTS: float(totals[_SLOT_CONFLICTS]),
-        keys.FAULT_INJECTED: float(totals[_SLOT_FAULTS]),
-        keys.FAULT_WORKER_RESTARTS: float(restarts),
-        keys.FAULT_REPARTITIONS: float(repartitions),
-        keys.FAULT_DEGRADED_EPOCHS: float(degraded_epochs),
-    }
-    for key, value in counter_totals.items():
-        tel.count(key, value)
-    tel.set_gauge(keys.WALL_SECONDS_PER_EPOCH, wall_per_epoch)
-    tel.set_gauge(keys.WALL_SECONDS_TOTAL, wall_total)
-
+    run = supervise_epochs(
+        backend, model, X, y, init_params, config, recovery, snapshot, telemetry
+    )
     return ShmTrainResult(
-        curve=curve,
-        params=params,
-        workers=requested_workers,
+        **run,
         batch_size=schedule.batch_size,
-        epochs_run=epochs_run,
-        diverged=diverged,
-        wall_seconds_per_epoch=wall_per_epoch,
-        wall_seconds_total=wall_total,
-        counters=counter_totals,
-        workers_final=active_workers,
-        restarts=restarts,
-        repartitions=repartitions,
-        degraded_epochs=degraded_epochs,
-        recovery=recovery_log,
+        workers=backend.width,
+        # Each repartition narrowed the pool by exactly one.
+        workers_final=backend.width - run["repartitions"],
     )

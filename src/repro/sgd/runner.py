@@ -611,21 +611,51 @@ def train(
                 params=res.params,
             )
 
-        if backend == "shm":
-            from ..parallel.shm import ShmSchedule, default_shm_workers, train_shm
-
-            workers = threads if threads is not None else default_shm_workers()
-            schedule_kwargs: dict = {
-                "workers": workers,
-                "batch_size": batch_size,
-                "track_conflicts": track_conflicts,
-            }
-            if epoch_timeout is not None:
-                schedule_kwargs["epoch_timeout"] = epoch_timeout
-            schedule = ShmSchedule(**schedule_kwargs)
+        if backend in ("shm", "ps"):
             recovery = (
                 RecoveryPolicy(max_restarts=max_restarts) if max_restarts else None
             )
+            # Unset keeps each schedule's own default.
+            timeout_kw = {}
+            if epoch_timeout is not None:
+                timeout_kw["epoch_timeout"] = epoch_timeout
+            if backend == "shm":
+                from ..parallel.shm import ShmSchedule, default_shm_workers, train_shm
+
+                run_measured, unit = train_shm, "workers"
+                schedule = ShmSchedule(
+                    workers=threads if threads is not None else default_shm_workers(),
+                    batch_size=batch_size,
+                    track_conflicts=track_conflicts,
+                    **timeout_kw,
+                )
+                # Backend-specific manifest fields: read off the schedule,
+                # read off the result.
+                schedule_keys, result_keys = ("track_conflicts",), ()
+            else:
+                from ..distributed import PsSchedule, default_ps_nodes, train_ps
+
+                run_measured, unit = train_ps, "nodes"
+                schedule = PsSchedule(
+                    nodes=nodes if nodes is not None else default_ps_nodes(),
+                    shards=shards,
+                    max_staleness=max_staleness,
+                    batch_size=batch_size,
+                    checkpoint_dir=checkpoint_dir,
+                    checkpoint_every=checkpoint_every,
+                    checkpoint_seconds=checkpoint_seconds,
+                    server_process=server_process,
+                    **timeout_kw,
+                )
+                schedule_keys = ("checkpoint_dir", "server_process")
+                result_keys = (
+                    "nodes",
+                    "nodes_final",
+                    "shards",
+                    "max_staleness",
+                    "server_failovers",
+                    "time_to_repair_seconds",
+                )
             publisher = None
             if snapshot_out is not None:
                 from ..serving import SnapshotPublisher
@@ -642,7 +672,7 @@ def train(
                     },
                 )
             try:
-                shm_res = train_shm(
+                res = run_measured(
                     model,
                     ds.X,
                     ds.y,
@@ -657,136 +687,43 @@ def train(
             finally:
                 if publisher is not None:
                     publisher.close()
+            width, width_final = getattr(res, unit), getattr(res, f"{unit}_final")
             measured = {
-                "workers": shm_res.workers,
-                "workers_final": shm_res.workers_final,
-                "batch_size": shm_res.batch_size,
-                "track_conflicts": schedule.track_conflicts,
+                "workers": width,
+                "workers_final": width_final,
+                "batch_size": res.batch_size,
                 "epoch_timeout": schedule.epoch_timeout,
-                "epochs_run": shm_res.epochs_run,
-                "wall_seconds_per_epoch": shm_res.wall_seconds_per_epoch,
-                "wall_seconds_total": shm_res.wall_seconds_total,
-                "counters": dict(shm_res.counters),
-                "restarts": shm_res.restarts,
-                "repartitions": shm_res.repartitions,
-                "degraded_epochs": shm_res.degraded_epochs,
-                "recovery": list(shm_res.recovery),
+                "epochs_run": res.epochs_run,
+                "wall_seconds_per_epoch": res.wall_seconds_per_epoch,
+                "wall_seconds_total": res.wall_seconds_total,
+                "counters": dict(res.counters),
+                "restarts": res.restarts,
+                "repartitions": res.repartitions,
+                "degraded_epochs": res.degraded_epochs,
+                "recovery": list(res.recovery),
                 "fault_plan": fault_plan.describe() if fault_plan else None,
                 "max_restarts": max_restarts,
+                **{name: getattr(schedule, name) for name in schedule_keys},
+                **{name: getattr(res, name) for name in result_keys},
             }
-            root.set_attribute("backend", "shm")
-            root.set_attribute("workers", shm_res.workers)
+            root.set_attribute("backend", backend)
+            root.set_attribute(unit, width)
             return TrainResult(
                 task=task,
                 dataset=ds_name,
                 architecture=architecture,
                 strategy=strategy,
                 step_size=step_size,
-                curve=shm_res.curve,
+                curve=res.curve,
                 # Measured, not modelled: real seconds per epoch on the
                 # host, with loss evaluation excluded.
-                time_per_iter=shm_res.wall_seconds_per_epoch,
+                time_per_iter=res.wall_seconds_per_epoch,
                 optimal_loss=optimal,
-                diverged=shm_res.diverged,
+                diverged=res.diverged,
                 dataset_stats=stats,
-                backend="shm",
+                backend=backend,
                 measured=measured,
-                params=shm_res.params,
-            )
-
-        if backend == "ps":
-            from ..distributed import PsSchedule, default_ps_nodes, train_ps
-
-            n_nodes = nodes if nodes is not None else default_ps_nodes()
-            schedule_kwargs = {
-                "nodes": n_nodes,
-                "shards": shards,
-                "max_staleness": max_staleness,
-                "batch_size": batch_size,
-                "checkpoint_dir": checkpoint_dir,
-                "checkpoint_every": checkpoint_every,
-                "checkpoint_seconds": checkpoint_seconds,
-                "server_process": server_process,
-            }
-            if epoch_timeout is not None:
-                schedule_kwargs["epoch_timeout"] = epoch_timeout
-            ps_schedule = PsSchedule(**schedule_kwargs)
-            recovery = (
-                RecoveryPolicy(max_restarts=max_restarts) if max_restarts else None
-            )
-            publisher = None
-            if snapshot_out is not None:
-                from ..serving import SnapshotPublisher
-
-                publisher = SnapshotPublisher.create(
-                    model.n_params,
-                    descriptor=snapshot_out,
-                    meta={
-                        "task": task,
-                        "dataset": ds_name,
-                        "n_features": int(ds.n_features),
-                        "step_size": float(step_size),
-                        "scale": scale,
-                    },
-                )
-            try:
-                ps_res = train_ps(
-                    model,
-                    ds.X,
-                    ds.y,
-                    init,
-                    config,
-                    ps_schedule,
-                    tel,
-                    fault_plan=fault_plan,
-                    recovery=recovery,
-                    snapshot=publisher,
-                )
-            finally:
-                if publisher is not None:
-                    publisher.close()
-            measured = {
-                "workers": ps_res.nodes,
-                "workers_final": ps_res.nodes_final,
-                "nodes": ps_res.nodes,
-                "nodes_final": ps_res.nodes_final,
-                "shards": ps_res.shards,
-                "max_staleness": ps_res.max_staleness,
-                "batch_size": ps_res.batch_size,
-                "epoch_timeout": ps_schedule.epoch_timeout,
-                "epochs_run": ps_res.epochs_run,
-                "wall_seconds_per_epoch": ps_res.wall_seconds_per_epoch,
-                "wall_seconds_total": ps_res.wall_seconds_total,
-                "counters": dict(ps_res.counters),
-                "checkpoint_dir": ps_schedule.checkpoint_dir,
-                "server_process": ps_schedule.server_process,
-                "restarts": ps_res.restarts,
-                "repartitions": ps_res.repartitions,
-                "degraded_epochs": ps_res.degraded_epochs,
-                "server_failovers": ps_res.server_failovers,
-                "time_to_repair_seconds": ps_res.time_to_repair_seconds,
-                "recovery": list(ps_res.recovery),
-                "fault_plan": fault_plan.describe() if fault_plan else None,
-                "max_restarts": max_restarts,
-            }
-            root.set_attribute("backend", "ps")
-            root.set_attribute("nodes", ps_res.nodes)
-            return TrainResult(
-                task=task,
-                dataset=ds_name,
-                architecture=architecture,
-                strategy=strategy,
-                step_size=step_size,
-                curve=ps_res.curve,
-                # Measured, not modelled: real seconds per epoch on the
-                # host, with loss evaluation excluded.
-                time_per_iter=ps_res.wall_seconds_per_epoch,
-                optimal_loss=optimal,
-                diverged=ps_res.diverged,
-                dataset_stats=stats,
-                backend="ps",
-                measured=measured,
-                params=ps_res.params,
+                params=res.params,
             )
 
         full = _effective_full_profile(ds, representation)

@@ -124,14 +124,14 @@ class TestRemoteServerHandle:
             handle.write_params(init * 2)
             assert np.array_equal(handle.snapshot(), init * 2)
             handle.release_epoch(1)
-            assert handle.checkpoint_boundary() is True
-            assert handle.counters().get(keys.PS_CHECKPOINTS_WRITTEN) == 1.0
+            assert handle.checkpoint_now(boundary=True) is not None
+            assert handle.counters.get(keys.PS_CHECKPOINTS_WRITTEN) == 1.0
             assert handle.describe()["server_process"] is True
         finally:
             handle.close()
         # Clean shutdown: the child exited on its own terms, counters
         # survived the close, no temp orphans.
-        assert handle.counters().get(keys.PS_CHECKPOINTS_WRITTEN) == 1.0
+        assert handle.counters.get(keys.PS_CHECKPOINTS_WRITTEN) == 1.0
         assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
     def test_respawn_restores_from_checkpoint(self, tmp_path):
@@ -148,7 +148,7 @@ class TestRemoteServerHandle:
         try:
             handle.write_params(init + 7.0)
             handle.release_epoch(2)
-            assert handle.checkpoint_boundary() is True
+            assert handle.checkpoint_now(boundary=True) is not None
             old_port = handle.port
             handle._proc.kill()
             with pytest.raises(ServerDiedError):
@@ -161,7 +161,7 @@ class TestRemoteServerHandle:
             # The restored generation holds the checkpointed cut.
             assert np.array_equal(handle.snapshot(), init + 7.0)
             assert (
-                handle.counters().get(keys.PS_CHECKPOINTS_RESTORED, 0.0) >= 1.0
+                handle.counters.get(keys.PS_CHECKPOINTS_RESTORED, 0.0) >= 1.0
             )
         finally:
             handle.close()
