@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: test chaos chaos-grid chaos-ps chaos-ps-server bench bench-snapshot bench-compare grid-speedup serve-smoke shapes experiments grid examples probe lint all
+.PHONY: test chaos chaos-grid chaos-ps chaos-ps-server serve-smoke shapes experiments grid examples probe all
 
 # Worker processes for the parallel experiment grid (make grid JOBS=8).
 JOBS ?= 4
@@ -93,18 +93,6 @@ chaos-ps-server: ## SIGKILL the shard server mid-epoch; checkpoint-restore failo
 	@# be gone: a leaked process here is a failover that never tore down.
 	@pgrep -f 'repro train.*backend p[s]' >/dev/null 2>&1 && \
 		{ echo 'chaos-ps-server: leaked drill processes'; pgrep -af 'repro train.*backend p[s]'; exit 1; } || true
-
-bench:
-	pytest benchmarks/ --benchmark-only
-
-bench-snapshot:  ## telemetry-backed grid snapshot -> BENCH_<n>.json
-	REPRO_CACHE_DIR=.repro_cache python scripts/bench_snapshot.py
-
-bench-compare:   ## fail if any cell regressed >10% vs the latest BENCH_<n>.json
-	REPRO_CACHE_DIR=.repro_cache python scripts/bench_compare.py
-
-grid-speedup:    ## parallel grid must beat serial >1.3x at JOBS (skips on <JOBS cpus)
-	REPRO_CACHE_DIR=.repro_cache python scripts/grid_speedup.py --jobs $(JOBS) --floor 1.3
 
 serve-smoke:     ## train -> serve -> score through hot-swaps -> manifest check
 	REPRO_CACHE_DIR=.repro_cache python scripts/serve_smoke.py

@@ -2,10 +2,9 @@
 
 Cold-starting a ``ProcessPoolExecutor`` per :meth:`GridExecutor.execute`
 call charged every grid the full interpreter spawn + import cost for
-each worker, which BENCH_3/BENCH_4 showed eating the entire parallel
-win (0.79x "speedup" at jobs=4).  This module keeps **one** pool alive
-at module level and hands it to consecutive grids whose requirements
-match.
+each worker, which ate the entire parallel win (0.79x "speedup" at
+jobs=4).  This module keeps **one** pool alive at module level and
+hands it to consecutive grids whose requirements match.
 
 A pool is reusable only when nothing the workers snapshotted at fork
 time has drifted:

@@ -1,7 +1,7 @@
 """Shared-memory dataset segments for the parallel experiment grid.
 
-Profiling the grid executor (ROADMAP open item 3, BENCH_3/BENCH_4)
-showed that parallel runs were *slower* than serial at ``--jobs 4``:
+Profiling the grid executor showed that parallel runs were *slower*
+than serial at ``--jobs 4``:
 every worker re-materialised every dataset it touched, so the fan-out
 paid ``jobs x`` dataset generation on top of process spawn.  This module
 removes that cost with the same idiom the Hogwild shm backend uses

@@ -9,7 +9,7 @@ vectorised mini-batch updates into it with **no locks**, and the run is
 instrumented — per-epoch wall clock, measured stale reads and racy
 coordinate conflicts — through the same telemetry keys the simulator
 and the analytical hardware models emit, so measured numbers land next
-to modelled ones in manifests and ``BENCH_<n>.json``.
+to modelled ones in manifests.
 
 Execution model
 ---------------

@@ -6,8 +6,7 @@ fused PUSH_PULL covers the middle, the last item pushes alone), every
 answered round accounts for every shard as either a fresh payload or a
 cached header, and the server's byte counter decomposes exactly into
 frame arithmetic.  These tests pin that contract so a protocol change
-that quietly re-inflates the wire fails loudly — the measured
-counterpart of the BENCH gate's >= 3x round-trip reduction.
+that quietly re-inflates the wire fails loudly.
 """
 
 import socket
@@ -98,6 +97,22 @@ class TestSingleNodeEconomics:
         lo_size = 8 * (ds.n_features // res.shards)
         hi_size = 8 * (ds.n_features // res.shards + 1)
         assert lo_size * hits <= saved <= hi_size * hits
+
+    def test_bytes_received_within_layout_bound(self, run):
+        """The request direction: per update at most one PUSH_PULL
+        (header, push length, the largest push the data can produce at
+        batch_size=1, version vector), plus the run's fixed frames —
+        HELLO, BYE, an EPOCH_DONE per barrier, and one more header per
+        epoch, whose opening pull and closing push travel unfused."""
+        ds, res = run
+        if ds.is_sparse:
+            push = 1 + 4 + 16 * int(np.diff(ds.X.indptr).max())
+        else:
+            push = 1 + 8 * ds.n_features
+        request = _HEADER + 4 + push + 2 + 8 * res.shards
+        fixed = _HEADER * (2 + (res.epochs_run + 1) + res.epochs_run)
+        updates = res.counters[keys.UPDATES_APPLIED]
+        assert 0 < res.counters[keys.PS_BYTES_RECEIVED] <= request * updates + fixed
 
 
 class TestSerialEquivalence:

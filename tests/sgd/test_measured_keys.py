@@ -1,8 +1,7 @@
 """The ``TrainResult.measured`` record, pinned key for key.
 
-``_cmd_train``, ``table3.staleness_rows``, ``scripts/bench_snapshot.py``
-and the ``make chaos-ps*`` assertions read these fields out of run
-manifests by name; the facade builds the record once for both measured
+``_cmd_train``, ``table3.staleness_rows`` and the ``make chaos-ps*``
+assertions read these fields out of run manifests by name; the facade builds the record once for both measured
 backends, so a dropped or renamed key must fail here, not in a drill.
 """
 
