@@ -97,8 +97,8 @@ chaos-ps-server: ## SIGKILL the shard server mid-epoch; checkpoint-restore failo
 serve-smoke:     ## train -> serve -> score through hot-swaps -> manifest check
 	REPRO_CACHE_DIR=.repro_cache python scripts/serve_smoke.py
 
-shapes:          ## regenerate + assert all tables/figures (no timing)
-	pytest benchmarks/ --benchmark-disable -s
+shapes:          ## regenerate + assert all tables/figures (CI runs exactly this)
+	PYTHONPATH=src python -m pytest benchmarks/ -q -s
 
 experiments:     ## rebuild EXPERIMENTS.md from a fresh run
 	REPRO_CACHE_DIR=.repro_cache python scripts/run_experiments.py

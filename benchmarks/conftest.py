@@ -1,12 +1,12 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the shape suite (``make shapes``).
 
-The benchmarks regenerate every table and figure of the paper at the
+The modules regenerate every table and figure of the paper at the
 ``small`` scale and print them (also writing them under
 ``benchmarks/artifacts/``).  A single session-scoped
 :class:`ExperimentContext` is shared across modules so the training
 runs behind Table II, Table III, Fig. 7 and Figs. 8/9 are performed
 once.  Reference losses are cached on disk under ``.repro_cache`` so
-repeat benchmark runs skip the budgeted reference sweeps.
+repeat runs skip the budgeted reference sweeps.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ os.environ.setdefault(
 
 @pytest.fixture(scope="session")
 def ctx():
-    """The benchmark-scale experiment context (paper grid, small data)."""
+    """The suite-scale experiment context (paper grid, small data)."""
     from repro.experiments import ExperimentContext
 
     return ExperimentContext(scale="small", sync_max_epochs=3000, async_max_epochs=950)

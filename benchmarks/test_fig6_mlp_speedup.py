@@ -54,10 +54,7 @@ class TestFig6Shapes:
         assert cpu == sorted(cpu)
 
 
-def test_benchmark_fig6_sweep(benchmark, ctx):
-    """End-to-end cost of the (trace, cost-model) sweep itself."""
-    result = benchmark.pedantic(
-        run_fig6, args=(ctx,), kwargs={"architectures": ((50, 10, 5, 2), (50, 200, 100, 2))},
-        rounds=1, iterations=1,
-    )
+def test_benchmark_fig6_sweep(ctx):
+    """The (trace, cost-model) sweep on a caller-chosen architecture list."""
+    result = run_fig6(ctx, architectures=((50, 10, 5, 2), (50, 200, 100, 2)))
     assert len(result.points) == 2

@@ -54,14 +54,10 @@ class TestFig7Shapes:
             assert p.async_cpu.time_to(ctx.tolerance) <= other.time_to(ctx.tolerance)
 
 
-def test_benchmark_loss_curve_extraction(benchmark, fig7):
-    """Speed of producing the plot series from the stored results."""
-
-    def extract():
-        total = 0.0
-        for p in fig7.panels:
-            xs, ys = p.sync_gpu.loss_vs_time()
-            total += float(xs[-1]) + float(ys[-1])
-        return total
-
-    assert math.isfinite(benchmark(extract))
+def test_benchmark_loss_curve_extraction(fig7):
+    """Every panel's stored result yields a finite plot series."""
+    total = 0.0
+    for p in fig7.panels:
+        xs, ys = p.sync_gpu.loss_vs_time()
+        total += float(xs[-1]) + float(ys[-1])
+    assert math.isfinite(total)

@@ -51,6 +51,6 @@ class TestFig8Shapes:
         assert fig8.get("lr", "covtype", "ours-async") > 1.0
 
 
-def test_benchmark_fig8(benchmark, ctx):
-    result = benchmark.pedantic(run_fig8, args=(ctx,), rounds=1, iterations=1)
+def test_benchmark_fig8(ctx):
+    result = run_fig8(ctx)
     assert len(result.entries) == 2 * 5 * 3  # tasks x datasets x systems

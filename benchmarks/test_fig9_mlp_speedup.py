@@ -47,6 +47,6 @@ class TestFig9Shapes:
             assert fig9.get("mlp", dataset, "ours-async") < 0.6, dataset
 
 
-def test_benchmark_fig9(benchmark, ctx):
-    result = benchmark.pedantic(run_fig9, args=(ctx,), rounds=1, iterations=1)
+def test_benchmark_fig9(ctx):
+    result = run_fig9(ctx)
     assert len(result.entries) == 5 * 3

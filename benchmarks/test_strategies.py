@@ -125,21 +125,17 @@ class TestStrategyQuality:
 
 
 class TestRealHogwildBenchmark:
-    def test_benchmark_real_processes(self, benchmark, setup):
+    def test_benchmark_real_processes(self, setup):
         model, ds, init = setup
-        report = benchmark.pedantic(
-            hogwild_train,
-            args=(model, ds.X, ds.y, init),
-            kwargs=dict(step=STEP, epochs=4, workers=2),
-            rounds=1,
-            iterations=1,
+        report = hogwild_train(
+            model, ds.X, ds.y, init, step=STEP, epochs=4, workers=2
         )
         assert report.improved
 
-    def test_benchmark_cyclades_scheduling(self, benchmark, setup):
+    def test_benchmark_cyclades_scheduling(self, setup):
         from repro.asyncsim import schedule_batch
 
         _, ds, _ = setup
         rows = np.arange(512)
-        batch = benchmark(schedule_batch, ds.X, rows)
+        batch = schedule_batch(ds.X, rows)
         assert batch.n_examples == 512

@@ -1,9 +1,8 @@
-"""Benchmark + regeneration of Table I (the experimental datasets).
+"""Regeneration of Table I (the experimental datasets).
 
-Regenerates the paper's dataset table at benchmark scale, asserts the
-realised statistics stay within band of the profiles, and benchmarks
-the synthetic generator (the substrate every other experiment relies
-on).
+Regenerates the paper's dataset table at the suite's scale, asserts the
+realised statistics stay within band of the profiles, and runs the
+synthetic generator (the substrate every other experiment relies on).
 """
 
 from __future__ import annotations
@@ -44,14 +43,14 @@ class TestTable1:
         assert by_name["covtype"].realised_dispersion == pytest.approx(1.0)
 
 
-def test_benchmark_sparse_generation(benchmark):
-    """Generator throughput at benchmark scale (news: the widest set)."""
+def test_benchmark_sparse_generation():
+    """The generator at the suite's scale (news: the widest set)."""
     profile = scaled_profile("news", "small")
-    out = benchmark(generate, profile, 123)
+    out = generate(profile, 123)
     assert out.n_examples == profile.n_examples
 
 
-def test_benchmark_dense_generation(benchmark):
+def test_benchmark_dense_generation():
     profile = scaled_profile("covtype", "small")
-    out = benchmark(generate, profile, 123)
+    out = generate(profile, 123)
     assert not out.is_sparse

@@ -1,8 +1,8 @@
-"""Benchmark + regeneration of Table II (synchronous SGD performance).
+"""Regeneration of Table II (synchronous SGD performance).
 
 Regenerates the full table (3 tasks x 5 datasets x 3 architectures),
-asserts the paper's qualitative shapes, and benchmarks the synchronous
-epoch primitives on both dense and sparse data.
+asserts the paper's qualitative shapes, and runs the synchronous epoch
+primitives on both dense and sparse data.
 """
 
 from __future__ import annotations
@@ -81,26 +81,22 @@ class TestTable2Shapes:
 
 
 class TestSyncEpochBenchmarks:
-    def test_benchmark_dense_epoch(self, benchmark):
+    def test_benchmark_dense_epoch(self):
         ds = load("covtype", "small")
         model = make_model("lr", ds)
         w = model.init_params(derive_rng(0, "b"))
-
-        def epoch():
-            return model.full_grad(ds.X, ds.y, w)
-
-        g = benchmark(epoch)
+        g = model.full_grad(ds.X, ds.y, w)
         assert np.all(np.isfinite(g))
 
-    def test_benchmark_sparse_epoch(self, benchmark):
+    def test_benchmark_sparse_epoch(self):
         ds = load("rcv1", "small")
         model = make_model("lr", ds)
         w = model.init_params(derive_rng(0, "b"))
-        g = benchmark(model.full_grad, ds.X, ds.y, w)
+        g = model.full_grad(ds.X, ds.y, w)
         assert np.all(np.isfinite(g))
 
-    def test_benchmark_trace_costing(self, benchmark, ctx):
-        """Hardware-model evaluation speed (one epoch trace, 3 backends)."""
+    def test_benchmark_trace_costing(self, ctx):
+        """Hardware-model evaluation (one epoch trace, 3 backends)."""
         from repro.linalg import recording
         from repro.sgd.runner import full_scale_factor, working_set_bytes
 
@@ -112,11 +108,9 @@ class TestSyncEpochBenchmarks:
         trace = tr.scaled(full_scale_factor(ds, "lr"))
         ws = working_set_bytes(ds, model, "lr")
 
-        def cost():
-            return (
-                ctx.cpu.sync_epoch_time(trace, 1, ws)
-                + ctx.cpu.sync_epoch_time(trace, 56, ws)
-                + ctx.gpu.sync_epoch_time(trace)
-            )
-
-        assert benchmark(cost) > 0
+        cost = (
+            ctx.cpu.sync_epoch_time(trace, 1, ws)
+            + ctx.cpu.sync_epoch_time(trace, 56, ws)
+            + ctx.gpu.sync_epoch_time(trace)
+        )
+        assert cost > 0

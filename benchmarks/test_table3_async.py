@@ -1,8 +1,8 @@
-"""Benchmark + regeneration of Table III (asynchronous SGD performance).
+"""Regeneration of Table III (asynchronous SGD performance).
 
 Regenerates the full asynchronous table — per-architecture statistical
 efficiency is *measured* through the interleaving simulator — asserts
-the paper's asynchronous findings, and benchmarks the Hogwild epoch
+the paper's asynchronous findings, and runs the Hogwild epoch
 primitives.
 """
 
@@ -86,34 +86,32 @@ class TestTable3Shapes:
 
 
 class TestAsyncEpochBenchmarks:
-    def test_benchmark_serial_hogwild_epoch(self, benchmark):
+    def test_benchmark_serial_hogwild_epoch(self):
         ds = load("w8a", "small")
         model = make_model("lr", ds)
         w = model.init_params(derive_rng(0, "b"))
         rng = derive_rng(0, "bench")
         schedule = AsyncSchedule(concurrency=1)
-        benchmark(run_async_epoch, model, ds.X, ds.y, w, 0.5, schedule, rng)
+        run_async_epoch(model, ds.X, ds.y, w, 0.5, schedule, rng)
 
-    def test_benchmark_parallel_hogwild_epoch(self, benchmark):
+    def test_benchmark_parallel_hogwild_epoch(self):
         ds = load("w8a", "small")
         model = make_model("lr", ds)
         w = model.init_params(derive_rng(0, "b"))
         rng = derive_rng(0, "bench")
         schedule = AsyncSchedule(concurrency=56)
-        benchmark(run_async_epoch, model, ds.X, ds.y, w, 0.5, schedule, rng)
+        run_async_epoch(model, ds.X, ds.y, w, 0.5, schedule, rng)
 
-    def test_benchmark_async_workload_costing(self, benchmark, ctx):
+    def test_benchmark_async_workload_costing(self, ctx):
         from repro.hardware import AsyncWorkload
 
         ds = load("news", "small")
         model = make_model("lr", ds)
         workload = AsyncWorkload.for_linear(ds, model)
 
-        def cost():
-            return (
-                ctx.cpu.async_epoch_time(workload, 1)
-                + ctx.cpu.async_epoch_time(workload, 56)
-                + ctx.gpu.async_epoch_time(workload)
-            )
-
-        assert benchmark(cost) > 0
+        cost = (
+            ctx.cpu.async_epoch_time(workload, 1)
+            + ctx.cpu.async_epoch_time(workload, 56)
+            + ctx.gpu.async_epoch_time(workload)
+        )
+        assert cost > 0
