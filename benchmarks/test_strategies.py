@@ -9,6 +9,8 @@ algorithm's defining property.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.asyncsim import (
 )
 from repro.datasets import load
 from repro.models import make_model
-from repro.parallel import hogwild_train
+from repro.parallel import ShmSchedule, train_shm
 from repro.sgd import SGDConfig
 from repro.sgd.averaging import AveragingSchedule, train_model_averaging
 from repro.utils import derive_rng
@@ -127,10 +129,13 @@ class TestStrategyQuality:
 class TestRealHogwildBenchmark:
     def test_benchmark_real_processes(self, setup):
         model, ds, init = setup
-        report = hogwild_train(
-            model, ds.X, ds.y, init, step=STEP, epochs=4, workers=2
+        res = train_shm(
+            model, ds.X, ds.y, init,
+            SGDConfig(step_size=STEP, max_epochs=4),
+            ShmSchedule(workers=2),
         )
-        assert report.improved
+        assert math.isfinite(res.curve.final_loss)
+        assert res.curve.final_loss < res.curve.initial_loss
 
     def test_benchmark_cyclades_scheduling(self, setup):
         from repro.asyncsim import schedule_batch

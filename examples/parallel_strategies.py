@@ -36,7 +36,7 @@ from repro.asyncsim import (
 )
 from repro.datasets import load
 from repro.models import make_model
-from repro.parallel import hogwild_train
+from repro.parallel import ShmSchedule, train_shm
 from repro.sgd import SGDConfig
 from repro.sgd.averaging import AveragingSchedule, train_model_averaging
 from repro.utils import derive_rng, render_table
@@ -83,10 +83,13 @@ def main() -> None:
                  time.perf_counter() - t0])
 
     # Real lock-free Hogwild over shared memory
-    report = hogwild_train(
-        model, ds.X, ds.y, init, step=STEP, epochs=EPOCHS, workers=4
+    real = train_shm(
+        model, ds.X, ds.y, init,
+        SGDConfig(step_size=STEP, max_epochs=EPOCHS),
+        ShmSchedule(workers=4),
     )
-    rows.append(["hogwild (REAL, 4 processes)", report.final_loss, report.wall_time])
+    rows.append(["hogwild (REAL, 4 processes)", real.curve.final_loss,
+                 real.wall_seconds_total])
 
     print(f"LR on w8a-small, {EPOCHS} epochs at step {STEP}; "
           f"initial loss {model.loss(ds.X, ds.y, init):.4f}\n")

@@ -25,7 +25,6 @@ heal them in place by reconnect-and-resume.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from ..sgd.config import SGDConfig
 from ..telemetry import keys
 from ..telemetry.session import AnyTelemetry, ensure_telemetry
 from ..utils.errors import ConfigurationError, ServerDiedError, WorkerError
+from ..utils.processes import fork_context
 from ..utils.rng import DEFAULT_SEED
 from .checkpoint import CheckpointPolicy
 from .server import ShardServer, default_ps_shards
@@ -257,9 +257,7 @@ class _PsBackend:
                 "step_size": config.step_size,
             },
         )
-        self._ctx = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
+        self._ctx = fork_context()
         self._procs: list = []
         self._failovers = 0
         self._server_faults_fired = 0

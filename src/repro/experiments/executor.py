@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing as mp
 import os
 import threading
 import time
@@ -83,6 +82,7 @@ from ..telemetry import keys
 from ..telemetry.manifest import build_manifest
 from ..telemetry.session import Telemetry, ensure_telemetry
 from ..utils.errors import ConfigurationError, DivergenceError, WorkerError
+from ..utils.processes import fork_context
 from ..utils.rng import DEFAULT_SEED, derive_rng
 from . import pool as grid_pool
 from . import shared_data
@@ -321,13 +321,6 @@ def _hw_fingerprint(ctx: "ExperimentContext") -> dict[str, Any]:
             "warp_shuffle": ctx.gpu.warp_shuffle,
         },
     }
-
-
-def _fork_context() -> mp.context.BaseContext:
-    # Fork shares the parent's loaded datasets copy-on-write (the same
-    # choice the shm backend makes); spawn is the portable fallback.
-    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    return mp.get_context(method)
 
 
 class GridExecutor:
@@ -615,7 +608,7 @@ class GridExecutor:
             ctx.jobs,
             shared=ctx.shared_data,
             specs=self._dataset_specs(to_run),
-            mp_context=_fork_context(),
+            mp_context=fork_context(),
             initializer=_worker_init,
             initargs=(descriptors,),
         )
@@ -725,7 +718,7 @@ class GridExecutor:
         """
         ctx = self.ctx
         policy = ctx.retry if ctx.retry is not None else CellRetryPolicy()
-        mp_ctx = _fork_context()
+        mp_ctx = fork_context()
         faults = self._grid_faults(to_run)
         states = [
             _CellState(job=job, index=i, fault=faults.get(i))

@@ -1,11 +1,8 @@
 """Real (non-simulated) parallel execution backends."""
 
-from .hogwild import HogwildReport, hogwild_train
 from .shm import ShmSchedule, ShmTrainResult, default_shm_workers, train_shm
 
 __all__ = [
-    "HogwildReport",
-    "hogwild_train",
     "ShmSchedule",
     "ShmTrainResult",
     "default_shm_workers",

@@ -1,9 +1,8 @@
 """Shared-memory Hogwild/Hogbatch backend: measured, not simulated.
 
 The asynchrony simulator (:mod:`repro.asyncsim`) answers the paper's
-*statistical* questions deterministically; :func:`repro.parallel.hogwild_train`
-demonstrates raw lock-free convergence.  This module is the production
-backend between them: the model lives in one
+*statistical* questions deterministically.  This module is the genuine
+article beside it: the model lives in one
 :mod:`multiprocessing.shared_memory` buffer, N worker processes stream
 vectorised mini-batch updates into it with **no locks**, and the run is
 instrumented — per-epoch wall clock, measured stale reads and racy
@@ -54,7 +53,6 @@ on every path the pool is joined and both shared segments unlinked.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import threading
 import time
@@ -71,6 +69,7 @@ from ..sgd.config import SGDConfig
 from ..telemetry import keys
 from ..telemetry.session import AnyTelemetry
 from ..utils.errors import ConfigurationError, WorkerError
+from ..utils.processes import fork_context
 from ..utils.rng import DEFAULT_SEED, derive_rng
 
 __all__ = ["ShmSchedule", "ShmTrainResult", "train_shm", "default_shm_workers"]
@@ -356,9 +355,7 @@ class _ShmBackend:
         self.assignments = self.fault_plan.resolve(
             self.width, run_seed=self._seed, epoch_timeout=schedule.epoch_timeout
         )
-        self._ctx = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
+        self._ctx = fork_context()
         self._procs: list = []
         self._barriers: tuple = ()
         self._shm = shared_memory.SharedMemory(create=True, size=init_params.nbytes)
