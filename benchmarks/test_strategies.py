@@ -111,13 +111,23 @@ class TestStrategyQuality:
         an update touches exactly one user and one item factor and the
         conflict graph genuinely shatters."""
         from repro.asyncsim import schedule_batch
-        from repro.datasets import generate_ratings
+        from repro.linalg import CSRMatrix
 
-        data = generate_ratings(
-            n_users=2000, n_items=1500, n_ratings=10_000, zipf_exponent=0.7, seed=2
+        # One batch of ratings as a bipartite design matrix: row k has a
+        # one in its user's column and a one in its item's column; users
+        # uniform, items Zipf-popular.
+        n_users, n_items, n_batch = 2000, 1500, 256
+        rng = derive_rng(2, "bench-strategies/mf")
+        popularity = np.arange(1, n_items + 1, dtype=np.float64) ** -0.7
+        users = rng.integers(0, n_users, size=n_batch)
+        items = rng.choice(n_items, size=n_batch, p=popularity / popularity.sum())
+        X = CSRMatrix(
+            indptr=2 * np.arange(n_batch + 1),
+            indices=np.column_stack((users, n_users + items)).ravel(),
+            data=np.ones(2 * n_batch),
+            shape=(n_batch, n_users + n_items),
         )
-        rows = np.arange(256)
-        batch = schedule_batch(data.X, rows)
+        batch = schedule_batch(X, np.arange(n_batch))
         assert batch.parallel_efficiency(56) > 0.25
 
     def test_averaging_statistically_weaker(self, losses):

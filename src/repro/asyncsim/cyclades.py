@@ -11,24 +11,27 @@ sequential statistical efficiency, at the price of the scheduling
 computation and imbalanced components.
 
 This module implements the scheduler on our CSR substrate (components
-via a union-find over example supports; :mod:`networkx` is used for the
-graph-analysis utilities exposed to users) and a runner that executes a
-Cyclades epoch through the same update machinery as the Hogwild engine.
-The serial-equivalence property is asserted by the test suite — it is
-the algorithm's defining invariant.
+via a union-find over example supports; :func:`conflict_graph` builds
+the explicit :mod:`networkx` graph for analysis) and a runner that
+executes a Cyclades epoch through the same update machinery as the
+Hogwild engine.  The serial-equivalence property is asserted by the
+test suite — it is the algorithm's defining invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..linalg.csr import CSRMatrix
 from ..models.base import Matrix, Model
 from ..utils.errors import ConfigurationError, DivergenceError
 from .engine import apply_updates
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    import networkx as nx
 
 __all__ = ["CycladesBatch", "CycladesSchedule", "schedule_batch", "run_cyclades_epoch", "conflict_graph"]
 
@@ -137,14 +140,19 @@ def schedule_batch(X: CSRMatrix, rows: np.ndarray) -> CycladesBatch:
     return CycladesBatch(groups=groups)
 
 
-def conflict_graph(X: CSRMatrix, rows: np.ndarray) -> nx.Graph:
+def conflict_graph(X: CSRMatrix, rows: np.ndarray) -> "nx.Graph":
     """The explicit conflict graph of a batch (analysis/visualisation).
 
     Nodes are example indices; an edge joins two examples sharing at
     least one feature.  Built feature-by-feature as a union of cliques
     (represented sparsely as stars plus chain edges, which preserves
     connectivity — and hence components — without quadratic blowup).
+
+    The only function here that needs :mod:`networkx`, so it imports it
+    itself: the scheduler and ``import repro`` need NumPy alone.
     """
+    import networkx as nx
+
     rows = np.asarray(rows, dtype=np.int64)
     g = nx.Graph()
     g.add_nodes_from(int(r) for r in rows)

@@ -3,7 +3,6 @@
 from .analysis import DatasetAnalysis, analyze, gini
 from .libsvm import parse_libsvm_lines, read_libsvm, write_libsvm
 from .profiles import DATASET_NAMES, PAPER_PROFILES, DatasetProfile, get_profile
-from .ratings import RatingsDataset, generate_ratings
 from .registry import (
     SCALES,
     ScaleSpec,
@@ -25,8 +24,6 @@ __all__ = [
     "generate",
     "generate_sparse",
     "generate_dense",
-    "RatingsDataset",
-    "generate_ratings",
     "DatasetAnalysis",
     "analyze",
     "gini",

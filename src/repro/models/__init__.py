@@ -21,7 +21,6 @@ from .losses import (
     softmax_probs,
     stable_sigmoid,
 )
-from .matfac import MatrixFactorization
 from .mlp import MLP
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "LogisticRegression",
     "LinearSVM",
     "MLP",
-    "MatrixFactorization",
     "make_model",
     "TASK_NAMES",
     "finite_difference_grad",

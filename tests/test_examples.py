@@ -23,11 +23,9 @@ class TestExampleStructure:
         names = {p.stem for p in EXAMPLES}
         assert {
             "quickstart",
-            "architecture_advisor",
             "hogwild_sparsity_study",
             "mlp_scaling_study",
             "custom_dataset_libsvm",
-            "matrix_factorization",
             "parallel_strategies",
         } <= names
 

@@ -1,0 +1,79 @@
+"""The package's declared surface is true.
+
+``import repro`` needs NumPy alone, every exported name exists, and
+every caller outside the package — the examples and the shape suite —
+imports only names that exist, so a deletion that strands one of them
+fails here rather than in ``make shapes`` minutes later.
+"""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CALLERS = sorted(
+    p for d in ("examples", "benchmarks") for p in (ROOT / d).glob("*.py")
+)
+MODULES = sorted(
+    m.name for m in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+)
+
+
+def test_import_needs_only_numpy():
+    """Optional third-party packages stay out of every trainer, grid
+    worker and server process: a fresh interpreter that imports the
+    package has loaded neither."""
+    code = (
+        "import repro, sys; "
+        "print(sorted({'networkx', 'scipy'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    missing = {}
+    for name in ["repro", *MODULES]:
+        module = importlib.import_module(name)
+        gone = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if gone:
+            missing[name] = gone
+    assert not missing
+
+
+def _repro_imports(path: pathlib.Path):
+    """``(module, name-or-None)`` for every import of the package in *path*."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    yield alias.name, None
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "repro":
+                for alias in node.names:
+                    yield node.module, alias.name
+
+
+@pytest.mark.parametrize(
+    "path", CALLERS, ids=lambda p: f"{p.parent.name}/{p.stem}"
+)
+def test_callers_import_only_what_exists(path):
+    for module_name, name in _repro_imports(path):
+        module = importlib.import_module(module_name)
+        if name is not None and not hasattr(module, name):
+            # ``from package import submodule``
+            importlib.import_module(f"{module_name}.{name}")
