@@ -141,6 +141,7 @@ class ShmTrainResult(MeasuredResult):
 
 
 def _worker_loop(
+    *,
     shm_name: str,
     counters_name: str,
     model: Model,
@@ -383,25 +384,25 @@ class _ShmBackend:
             self._ctx.Process(
                 target=_worker_loop,
                 name=f"shm-worker-{k}",
-                args=(
-                    self._shm.name,
-                    self._cshm.name,
-                    self.model,
-                    self.X,
-                    self.y,
-                    np.arange(k, self.X.shape[0], width, dtype=np.int64),
-                    self._shared.shape[0],
-                    width,
-                    k,
-                    self.config.step_size,
-                    self.config.max_epochs - (next_epoch - 1),
-                    self.schedule.batch_size,
-                    self.schedule.track_conflicts,
-                    self._seed,
-                    start,
-                    end,
-                    tuple(assignments.get(k, ())),
-                    next_epoch - 1,
+                kwargs=dict(
+                    shm_name=self._shm.name,
+                    counters_name=self._cshm.name,
+                    model=self.model,
+                    X=self.X,
+                    y=self.y,
+                    part=np.arange(k, self.X.shape[0], width, dtype=np.int64),
+                    n_params=self._shared.shape[0],
+                    n_workers=width,
+                    worker_id=k,
+                    step=self.config.step_size,
+                    max_epochs=self.config.max_epochs - (next_epoch - 1),
+                    batch_size=self.schedule.batch_size,
+                    track_conflicts=self.schedule.track_conflicts,
+                    seed=self._seed,
+                    start_barrier=start,
+                    end_barrier=end,
+                    faults=tuple(assignments.get(k, ())),
+                    epoch_offset=next_epoch - 1,
                 ),
             )
             for k in range(width)

@@ -209,10 +209,10 @@ class TestTeardown:
         model, ds, init = setup
         real = shm_mod._worker_loop
 
-        def dying(*args):
-            if args[8] == 1:  # worker_id
+        def dying(**plan):
+            if plan["worker_id"] == 1:
                 os._exit(17)
-            return real(*args)
+            return real(**plan)
 
         monkeypatch.setattr(shm_mod, "_worker_loop", dying)
         with pytest.raises(WorkerError):
