@@ -140,6 +140,75 @@ class ShmTrainResult(MeasuredResult):
     workers_final: int = 0
 
 
+def _item_body(model, X: Matrix, y: np.ndarray, w: np.ndarray, step, batch_size, track):
+    """The update one work item applies to *w*, chosen once per run.
+
+    Returns ``body(item) -> conflicts``: read the model, compute the
+    item's gradient, count the coordinates of its footprint that changed
+    since the read (0 when not *track*), write.  At ``batch_size == 1``
+    *item* is a row number and the arithmetic is
+    :meth:`LinearModel.serial_sgd_epoch`'s, expression for expression;
+    above it *item* is an array of rows and the kernels are vectorised.
+    """
+    sparse = hasattr(X, "gather_rows_arrays")
+    count = np.count_nonzero
+    if sparse:
+        indptr, indices, data = X.indptr, X.indices, X.data
+    else:
+        Xd = np.asarray(X, dtype=np.float64)
+
+    def sparse_one(i: int) -> int:
+        lo, hi = indptr[i], indptr[i + 1]
+        if lo == hi:
+            return 0
+        idx, val = indices[lo:hi], data[lo:hi]
+        read = w[idx]  # lock-free model read
+        yi = y[i]
+        coef = yi * dmargin(yi * (val @ read))
+        hit = count(w[idx] != read) if track else 0
+        if coef != 0.0:
+            w[idx] -= (step * coef) * val  # lock-free write
+        return hit
+
+    def dense_one(i: int) -> int:
+        xi, yi = Xd[i], y[i]
+        read = w.copy() if track else w
+        coef = yi * dmargin(yi * (xi @ read))
+        hit = count(w != read) if track else 0
+        if coef != 0.0:
+            np.subtract(w, (step * coef) * xi, out=w)
+        return hit
+
+    def sparse_batch(rows: np.ndarray) -> int:
+        ptr, idx, val, _ = X.gather_rows_arrays(rows)
+        read = w[idx]
+        counts = np.diff(ptr)
+        margins = np.zeros(rows.shape[0], dtype=np.float64)
+        if idx.size:
+            nonempty = counts > 0
+            margins[nonempty] = np.add.reduceat(val * read, ptr[:-1][nonempty])
+        coef = y[rows] * dmargin(y[rows] * margins)
+        values = (-step * np.repeat(coef, counts)) * val
+        hit = count(w[idx] != read) if track else 0
+        np.add.at(w, idx, values)  # lock-free scatter
+        return hit
+
+    def dense_batch(rows: np.ndarray) -> int:
+        Xb = Xd[rows]
+        read = w.copy() if track else w
+        coef = y[rows] * dmargin(y[rows] * (Xb @ read))
+        hit = count(w != read) if track else 0
+        for delta in (-step * coef)[:, None] * Xb:  # per-word-atomic adds, in order
+            np.add(w, delta, out=w)
+        return hit
+
+    if batch_size == 1:
+        dmargin = model._dmargin_scalar
+        return sparse_one if sparse else dense_one
+    dmargin = model._dmargin_fn
+    return sparse_batch if sparse else dense_batch
+
+
 def _worker_loop(
     *,
     shm_name: str,
@@ -180,7 +249,10 @@ def _worker_loop(
         others = [blk[k] for k in range(n_workers) if k != worker_id]
         rng = derive_rng(seed, f"shm/{n_workers}/{worker_id}")
         sparse = hasattr(X, "gather_rows_arrays")
-        Xd = None if sparse else np.asarray(X, dtype=np.float64)
+        # Alone in the pool there is no other writer: nothing to track.
+        body = _item_body(
+            model, X, y, w, step, batch_size, track_conflicts and n_workers > 1
+        )
 
         for local_epoch in range(max_epochs):
             try:
@@ -189,9 +261,10 @@ def _worker_loop(
                 return
             if ctl[_CTL_STOP]:
                 break
+            order = part[rng.permutation(part.shape[0])]
+            starts = range(0, order.shape[0], batch_size)
             kill_item = None
             sleep_seconds = 0.0
-            poison_nans = False
             if faults:
                 epoch = epoch_offset + local_epoch + 1
                 for spec in faults:
@@ -200,59 +273,29 @@ def _worker_loop(
                     if spec["kind"] == "kill":
                         # Die halfway through the pass: partial updates
                         # are already committed, like a real crash.
-                        kill_item = -(-part.shape[0] // batch_size) // 2
+                        kill_item = len(starts) // 2
                     elif spec["kind"] in ("stall", "delay"):
                         sleep_seconds += spec["seconds"]
                         mine[_SLOT_FAULTS] += 1
-                    else:  # nan
-                        poison_nans = True
-            order = part[rng.permutation(part.shape[0])]
-            for item, lo in enumerate(range(0, order.shape[0], batch_size)):
+                    else:  # nan: the pass starts from a poisoned window
+                        mine[_SLOT_FAULTS] += 1
+                        first = order[:batch_size]
+                        w[X.gather_rows_arrays(first)[1] if sparse else ...] = np.nan
+            if batch_size == 1:
+                work = order.tolist()
+            else:
+                work = [order[lo : lo + batch_size] for lo in starts]
+            sizes = [min(batch_size, order.shape[0] - lo) for lo in starts]
+            for item, (rows, size) in enumerate(zip(work, sizes)):
                 if item == kill_item:
                     mine[_SLOT_FAULTS] += 1
                     os._exit(_FAULT_EXITCODE)
-                rows = order[lo : lo + batch_size]
                 before = sum(int(o[_SLOT_UPDATES]) for o in others)
-                if sparse:
-                    indptr, indices, data, _ = X.gather_rows_arrays(rows)
-                    gathered = w[indices]  # lock-free model read
-                    counts = np.diff(indptr)
-                    margins = np.zeros(rows.shape[0], dtype=np.float64)
-                    if indices.size:
-                        prod = data * gathered
-                        nonempty = counts > 0
-                        margins[nonempty] = np.add.reduceat(
-                            prod, indptr[:-1][nonempty]
-                        )
-                    coef = y[rows] * model._dmargin_fn(y[rows] * margins)
-                    values = (-step * np.repeat(coef, counts)) * data
-                    if track_conflicts and indices.size:
-                        mine[_SLOT_CONFLICTS] += int(
-                            np.count_nonzero(w[indices] != gathered)
-                        )
-                    np.add.at(w, indices, values)  # lock-free scatter
-                    if poison_nans and item == 0:
-                        mine[_SLOT_FAULTS] += 1
-                        w[indices] = np.nan  # poisoned gradient window
-                else:
-                    Xb = Xd[rows]
-                    snapshot = w.copy() if track_conflicts else w
-                    margins = Xb @ snapshot
-                    coef = y[rows] * model._dmargin_fn(y[rows] * margins)
-                    deltas = (-step * coef)[:, None] * Xb
-                    if track_conflicts:
-                        mine[_SLOT_CONFLICTS] += int(
-                            np.count_nonzero(w != snapshot)
-                        )
-                    for delta in deltas:  # per-word-atomic adds, in order
-                        w += delta
-                    if poison_nans and item == 0:
-                        mine[_SLOT_FAULTS] += 1
-                        w[:] = np.nan  # dense window = the whole model
+                mine[_SLOT_CONFLICTS] += body(rows)
                 after = sum(int(o[_SLOT_UPDATES]) for o in others)
                 if after != before:
-                    mine[_SLOT_STALE] += rows.shape[0]
-                mine[_SLOT_UPDATES] += rows.shape[0]
+                    mine[_SLOT_STALE] += size
+                mine[_SLOT_UPDATES] += size
                 mine[_SLOT_ITEMS] += 1
             if sleep_seconds:
                 time.sleep(sleep_seconds)

@@ -66,20 +66,46 @@ class TestScheduleValidation:
         assert 1 <= default_shm_workers() <= max(4, os.cpu_count() or 1)
 
 
+def _serial_orders(ds, epochs, seed=99):
+    """The shuffles worker 0 of a one-worker pool draws, epoch by epoch."""
+    rng = derive_rng(seed, "shm/1/0")
+    part = np.arange(ds.X.shape[0], dtype=np.int64)
+    return [part[rng.permutation(part.shape[0])] for _ in range(epochs)]
+
+
 class TestSingleWorkerDeterminism:
     def test_matches_sequential_sgd(self, setup):
-        """One worker = no races: the run must equal serial incremental
-        SGD over the same shuffled order (1e-12: the vectorised margin
-        uses a different reduction order than the scalar dot)."""
+        """One worker = no races: the b=1 item is serial incremental
+        SGD's own expression, so the run equals it bit for bit."""
+        _, ds, init = setup
+        for task in ("lr", "svm"):
+            model = make_model(task, ds)
+            res = train_shm(model, ds.X, ds.y, init, _config(), ShmSchedule(workers=1))
+            expected = init.copy()
+            for order in _serial_orders(ds, res.epochs_run):
+                model.serial_sgd_epoch(ds.X, ds.y, order, expected, 0.05)
+            assert np.array_equal(res.params, expected), task
+
+    def test_hogbatch_matches_batched_updates(self, setup):
+        """The b>1 kernels keep an anchor too: one worker at b=8 equals
+        ``model.batched_updates`` applied item by item."""
         model, ds, init = setup
-        res = train_shm(model, ds.X, ds.y, init, _config(), ShmSchedule(workers=1))
+        res = train_shm(
+            model, ds.X, ds.y, init, _config(), ShmSchedule(workers=1, batch_size=8)
+        )
         expected = init.copy()
-        rng = derive_rng(99, "shm/1/0")
-        part = np.arange(ds.X.shape[0], dtype=np.int64)
-        for _ in range(res.epochs_run):
-            order = part[rng.permutation(part.shape[0])]
-            model.serial_sgd_epoch(ds.X, ds.y, order, expected, 0.05)
-        np.testing.assert_allclose(res.params, expected, rtol=0, atol=1e-12)
+        for order in _serial_orders(ds, res.epochs_run):
+            for lo in range(0, order.shape[0], 8):
+                idx, values = model.batched_updates(
+                    ds.X, ds.y, order[lo : lo + 8], expected, 0.05
+                )
+                if idx is None:
+                    for delta in values:
+                        expected += delta
+                else:
+                    np.add.at(expected, idx, values)
+        assert np.array_equal(res.params, expected)
+        assert res.counters[keys.ASYNC_ROUNDS] == 3 * -(-ds.X.shape[0] // 8)
 
     def test_repeated_runs_identical(self, setup):
         model, ds, init = setup
