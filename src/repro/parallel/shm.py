@@ -75,7 +75,7 @@ from ..utils.rng import DEFAULT_SEED, derive_rng
 __all__ = ["ShmSchedule", "ShmTrainResult", "train_shm", "default_shm_workers"]
 
 # Per-worker counter slots in the shared counters block.
-_SLOT_UPDATES = 0  # examples applied to the shared model
+_SLOT_UPDATES = 0  # examples applied to the shared model (published per item)
 _SLOT_ITEMS = 1  # work items (scatter rounds) completed
 _SLOT_STALE = 2  # examples computed against a raced snapshot
 _SLOT_CONFLICTS = 3  # coordinates overwritten between read and write
@@ -209,6 +209,34 @@ def _item_body(model, X: Matrix, y: np.ndarray, w: np.ndarray, step, batch_size,
     return sparse_batch if sparse else dense_batch
 
 
+def _run_pass(body, work, sizes, words, base, progress, kill_item=None) -> bool:
+    """One lock-free pass over *work*; True if it stopped at *kill_item*.
+
+    Per item: fault check, peer read, the item, peer read, publish.  The
+    published word — this worker's update count at ``words[base]`` — is
+    what the peers' stale-read detection watches (*progress* is every
+    worker's), so it is written after every item; items, stale reads and
+    conflicts are tallied locally and added to the block when the pass
+    ends or is killed (*kill_item* < ``len(work)``).
+    """
+    updates = words[base + _SLOT_UPDATES]
+    items = stale = conflicts = 0
+    for rows, size in zip(work, sizes):
+        if items == kill_item:
+            break
+        before = sum(progress)
+        conflicts += body(rows)
+        if sum(progress) != before:
+            stale += size
+        updates += size
+        words[base + _SLOT_UPDATES] = updates
+        items += 1
+    words[base + _SLOT_ITEMS] += items
+    words[base + _SLOT_STALE] += stale
+    words[base + _SLOT_CONFLICTS] += int(conflicts)
+    return items == kill_item
+
+
 def _worker_loop(
     *,
     shm_name: str,
@@ -239,14 +267,12 @@ def _worker_loop(
     """
     shm = shared_memory.SharedMemory(name=shm_name)
     cshm = shared_memory.SharedMemory(name=counters_name)
+    # Plain-int views of the block: ~40 ns a word against a NumPy scalar's 170.
+    words = cshm.buf.cast("q")
+    progress = words[_N_CTL + _SLOT_UPDATES :: _N_SLOTS]
+    base = _N_CTL + worker_id * _N_SLOTS
     try:
         w = np.ndarray((n_params,), dtype=np.float64, buffer=shm.buf)
-        blk = np.ndarray(
-            (n_workers, _N_SLOTS), dtype=np.int64, buffer=cshm.buf, offset=_N_CTL * 8
-        )
-        ctl = np.ndarray((_N_CTL,), dtype=np.int64, buffer=cshm.buf)
-        mine = blk[worker_id]
-        others = [blk[k] for k in range(n_workers) if k != worker_id]
         rng = derive_rng(seed, f"shm/{n_workers}/{worker_id}")
         sparse = hasattr(X, "gather_rows_arrays")
         # Alone in the pool there is no other writer: nothing to track.
@@ -259,7 +285,7 @@ def _worker_loop(
                 start_barrier.wait()
             except threading.BrokenBarrierError:
                 return
-            if ctl[_CTL_STOP]:
+            if words[_CTL_STOP]:
                 break
             order = part[rng.permutation(part.shape[0])]
             starts = range(0, order.shape[0], batch_size)
@@ -274,11 +300,11 @@ def _worker_loop(
                         # Die halfway through the pass: partial updates
                         # are already committed, like a real crash.
                         kill_item = len(starts) // 2
-                    elif spec["kind"] in ("stall", "delay"):
+                        continue
+                    words[base + _SLOT_FAULTS] += 1
+                    if spec["kind"] in ("stall", "delay"):
                         sleep_seconds += spec["seconds"]
-                        mine[_SLOT_FAULTS] += 1
                     else:  # nan: the pass starts from a poisoned window
-                        mine[_SLOT_FAULTS] += 1
                         first = order[:batch_size]
                         w[X.gather_rows_arrays(first)[1] if sparse else ...] = np.nan
             if batch_size == 1:
@@ -286,17 +312,9 @@ def _worker_loop(
             else:
                 work = [order[lo : lo + batch_size] for lo in starts]
             sizes = [min(batch_size, order.shape[0] - lo) for lo in starts]
-            for item, (rows, size) in enumerate(zip(work, sizes)):
-                if item == kill_item:
-                    mine[_SLOT_FAULTS] += 1
-                    os._exit(_FAULT_EXITCODE)
-                before = sum(int(o[_SLOT_UPDATES]) for o in others)
-                mine[_SLOT_CONFLICTS] += body(rows)
-                after = sum(int(o[_SLOT_UPDATES]) for o in others)
-                if after != before:
-                    mine[_SLOT_STALE] += size
-                mine[_SLOT_UPDATES] += size
-                mine[_SLOT_ITEMS] += 1
+            if _run_pass(body, work, sizes, words, base, progress, kill_item):
+                words[base + _SLOT_FAULTS] += 1
+                os._exit(_FAULT_EXITCODE)
             if sleep_seconds:
                 time.sleep(sleep_seconds)
             try:
@@ -304,6 +322,9 @@ def _worker_loop(
             except threading.BrokenBarrierError:
                 return
     finally:
+        # An exported view left alive makes close() raise BufferError.
+        progress.release()
+        words.release()
         shm.close()
         cshm.close()
 

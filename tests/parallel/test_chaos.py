@@ -83,6 +83,26 @@ class TestKillRecovery:
         assert res.counters[keys.FAULT_WORKER_RESTARTS] == 1
         _assert_no_leaks()
 
+    def test_killed_workers_partial_pass_stays_counted(self, setup):
+        """The half pass the victim wrote into the model before dying is
+        in the totals: its locally tallied counters are flushed to the
+        block before ``os._exit``, not lost with the process."""
+        model, ds, init = setup
+        n = ds.X.shape[0]
+        res = train_shm(
+            model, ds.X, ds.y, init,
+            _config(),
+            ShmSchedule(workers=2),
+            fault_plan=FaultPlan.parse(["kill@2:w1"]),
+            recovery=RecoveryPolicy(max_restarts=2),
+        )
+        committed = len(range(1, n, 2)) // 2  # items before the kill, b=1
+        assert res.epochs_run == 4
+        assert res.counters[keys.UPDATES_APPLIED] >= 4 * n + committed
+        assert res.counters[keys.ASYNC_ROUNDS] >= 4 * n + committed
+        assert res.counters[keys.FAULT_INJECTED] >= 1
+        _assert_no_leaks()
+
     def test_fail_fast_without_policy(self, setup):
         """No recovery policy = PR-2 behaviour: first death raises a
         structured WorkerError and tears everything down."""
