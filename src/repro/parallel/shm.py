@@ -329,42 +329,62 @@ def _worker_loop(
         cshm.close()
 
 
-def _await_barrier(
-    barrier, procs, timeout: float, phase: str, epoch: int | None = None
-) -> None:
-    """Wait at *barrier* with a liveness watchdog over the workers.
+class _Watchdog:
+    """Liveness watch over one pool, for as long as the pool lives.
 
-    A worker that exits before reaching the barrier would otherwise
-    stall the parent for the full timeout; the watchdog notices within
-    ~100 ms and breaks the barrier, turning the stall into a prompt
-    :class:`WorkerError`.  The raised error is structured: it carries
-    the first dead worker's id and exit code (or ``worker_id=None``
-    for a pure timeout — a stalled worker leaves no corpse), the epoch
-    and the phase, which is what the recovery policy dispatches on.
+    A worker that exits before reaching a barrier would otherwise stall
+    the parent for the full timeout; the watchdog notices within ~100 ms
+    and breaks the barrier the parent is waiting at (:attr:`barrier`,
+    ``None`` between waits, when a clean exit is not a death).
     """
-    stop = threading.Event()
-    # Deaths the watchdog saw *before* aborting the barrier.  Blame is
-    # taken from here, not re-read after the break: aborting releases
-    # the healthy workers too, and they exit 0 — re-reading exit codes
-    # would pin a stall timeout on an innocent survivor.
-    observed: list[tuple[int, int]] = []
 
-    def _watch() -> None:
-        while not stop.wait(0.1):
+    def __init__(self, procs: list) -> None:
+        self.barrier = None
+        # Deaths seen *before* aborting the barrier.  Blame is taken
+        # from here, not re-read after the break: aborting releases the
+        # healthy workers too, and they exit 0 — re-reading exit codes
+        # would pin a stall timeout on an innocent survivor.
+        self.observed: list[tuple[int, int]] = []
+        self._procs = procs
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._watch, daemon=True)
+        self._thread.start()
+
+    def _watch(self) -> None:
+        while not self._stop.wait(0.1):
+            barrier = self.barrier
+            if barrier is None:
+                continue
             dead = [
-                (k, p.exitcode) for k, p in enumerate(procs) if p.exitcode is not None
+                (k, p.exitcode)
+                for k, p in enumerate(self._procs)
+                if p.exitcode is not None
             ]
             if dead:
-                observed.extend(dead)
+                self.observed.extend(dead)
                 barrier.abort()
                 return
 
-    watchdog = threading.Thread(target=_watch, daemon=True)
-    watchdog.start()
+    def stop(self) -> None:
+        self._stop.set()
+        self._thread.join()
+
+
+def _await_barrier(
+    barrier, watchdog: _Watchdog, timeout: float, phase: str, epoch: int | None = None
+) -> None:
+    """Wait at *barrier* under the pool's liveness *watchdog*.
+
+    The raised error is structured: it carries the first dead worker's
+    id and exit code (or ``worker_id=None`` for a pure timeout — a
+    stalled worker leaves no corpse), the epoch and the phase, which is
+    what the recovery policy dispatches on.
+    """
+    watchdog.barrier = barrier
     try:
         barrier.wait(timeout)
     except threading.BrokenBarrierError:
-        dead = list(observed)
+        dead = list(watchdog.observed)
         if dead:
             detail = ", ".join(f"worker {k} exitcode {c}" for k, c in dead)
             raise WorkerError(
@@ -381,8 +401,7 @@ def _await_barrier(
             phase=phase,
         ) from None
     finally:
-        stop.set()
-        watchdog.join()
+        watchdog.barrier = None
 
 
 @dataclass
@@ -423,6 +442,7 @@ class _ShmBackend:
         self._ctx = fork_context()
         self._procs: list = []
         self._barriers: tuple = ()
+        self._watchdog: _Watchdog | None = None
         self._shm = shared_memory.SharedMemory(create=True, size=init_params.nbytes)
         self._cshm = shared_memory.SharedMemory(
             create=True, size=(_N_CTL + self.width * _N_SLOTS) * 8
@@ -473,16 +493,19 @@ class _ShmBackend:
         ]
         for p in self._procs:
             p.start()
+        self._watchdog = _Watchdog(self._procs)
 
     def run_epoch(self, epoch: int, timeout: float) -> None:
         start, end = self._barriers
-        _await_barrier(start, self._procs, timeout, "epoch-start", epoch)
-        _await_barrier(end, self._procs, timeout, "epoch-end", epoch)
+        _await_barrier(start, self._watchdog, timeout, "epoch-start", epoch)
+        _await_barrier(end, self._watchdog, timeout, "epoch-end", epoch)
 
     def teardown_pool(self) -> None:
         # Healthy workers blocked at a barrier see the abort as a broken
         # barrier and exit on their own; anything still alive after the
         # grace (stalled, or mid-pass on a large partition) is killed.
+        if self._watchdog is not None:
+            self._watchdog.stop()
         for b in self._barriers:
             try:
                 b.abort()
@@ -506,7 +529,7 @@ class _ShmBackend:
             self._ctl[_CTL_STOP] = 1
             try:
                 _await_barrier(
-                    self._barriers[0], self._procs, timeout, "shutdown", epochs_run
+                    self._barriers[0], self._watchdog, timeout, "shutdown", epochs_run
                 )
             except WorkerError as err:
                 if self.fail_fast:
