@@ -324,6 +324,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         import json
 
         from .telemetry import Telemetry, build_grid_manifest
+        from .telemetry.export import write_text
 
         tel = ctx.telemetry if isinstance(ctx.telemetry, Telemetry) else None
         manifest = build_grid_manifest(
@@ -341,9 +342,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                 "injected_faults": list(args.inject_grid_fault or []),
             },
         )
-        with open(args.manifest_out, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text(
+            args.manifest_out, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
         print(f"grid manifest written to {args.manifest_out}", file=sys.stderr)
     return 0
 
@@ -462,6 +463,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         import json
 
         from .telemetry import build_serve_manifest
+        from .telemetry.export import write_text
 
         manifest = build_serve_manifest(
             stats.to_dict(),
@@ -475,9 +477,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "max_delay": args.max_delay,
             },
         )
-        with open(args.manifest_out, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_text(
+            args.manifest_out, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
         print(f"serve manifest written to {args.manifest_out}", file=sys.stderr)
     return 0
 

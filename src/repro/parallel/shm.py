@@ -22,21 +22,28 @@ evaluation is excluded from iteration time, matching the paper's
 protocol (Section IV-A).
 
 Workers wait at the barriers *untimed*: liveness is the parent's job
-(its waits carry ``epoch_timeout`` plus a ~100 ms liveness watchdog),
+(its waits carry ``epoch_timeout`` under the pool's ~100 ms watchdog),
 so a slow parent-side loss evaluation can never break the barrier
 inside a healthy worker.
 
-Within an epoch nothing synchronises.  A worker's update is a single
-``np.add.at`` scatter (sparse) or row-wise adds (dense) against the
-shared vector; concurrent updates race exactly as OpenMP Hogwild races
-on the paper's machine.  Two quantities of that race are *measured*:
+Within an epoch nothing synchronises.  At ``batch_size == 1`` a
+worker's update is sequential SGD's own scalar expression on a view of
+the row — ``w -= (step * coef) * xi`` (dense), ``w[idx] -= (step * coef)
+* val`` (sparse) — so one worker reproduces ``serial_sgd_epoch`` bit for
+bit; above it, it is a single ``np.add.at`` scatter (sparse) or
+row-wise adds (dense).  Either way it lands on the shared vector
+unguarded, and concurrent updates race exactly as OpenMP Hogwild races
+on the paper's machine.  An update costs its arithmetic plus one shared
+word: each worker publishes its update count after every item and keeps
+every other counter to itself until the pass ends.  Two quantities of
+the race are *measured*, per item and unsampled:
 
 * **stale reads** — examples whose gradient window overlapped another
-  worker's committed update (detected from the other workers' update
-  counters before/after the gradient computation);
+  worker's committed update (detected from the workers' published
+  update counts before/after the item);
 * **update conflicts** — model coordinates whose value changed between
   the item's gradient read and its write (detected by re-reading the
-  item's coordinate footprint just before the scatter).
+  item's coordinate footprint just before the write).
 
 Faults and recovery
 -------------------
@@ -106,8 +113,11 @@ class ShmSchedule:
     batch_size:
         Rows per lock-free work item: 1 = Hogwild, >1 = Hogbatch.
     track_conflicts:
-        Measure racy coordinate overwrites (one extra gather + compare
-        per item).  Disable for the leanest possible hot loop.
+        Measure racy coordinate overwrites: every item re-reads its
+        footprint just before writing — a model copy and a compare on
+        dense rows, a second gather on sparse ones, about a quarter of
+        the b=1 item.  A one-worker pool has no other writer and skips
+        it.  Disable for the leanest possible hot loop.
     epoch_timeout:
         Seconds the parent waits for an epoch barrier before declaring
         the run dead.  Workers themselves wait untimed — only the
@@ -311,7 +321,8 @@ def _worker_loop(
                 work = order.tolist()
             else:
                 work = [order[lo : lo + batch_size] for lo in starts]
-            sizes = [min(batch_size, order.shape[0] - lo) for lo in starts]
+            sizes = [batch_size] * len(starts)
+            sizes[-1] = order.shape[0] - starts[-1]
             if _run_pass(body, work, sizes, words, base, progress, kill_item):
                 words[base + _SLOT_FAULTS] += 1
                 os._exit(_FAULT_EXITCODE)

@@ -23,6 +23,7 @@ __all__ = [
     "write_chrome_trace",
     "spans_json",
     "write_spans_json",
+    "write_text",
 ]
 
 #: Synthetic pid for all events — there is one process per run.
@@ -81,13 +82,23 @@ def chrome_trace(telemetry: Telemetry | Tracer) -> dict[str, Any]:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
+def write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
+    """Write *text* to *path*, creating its directory, and return the path.
+
+    Every ``--trace-out`` / ``--manifest-out`` file goes through here: a
+    run that trained for minutes must not die on a missing directory.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def write_chrome_trace(
     telemetry: Telemetry | Tracer, path: str | pathlib.Path
 ) -> pathlib.Path:
     """Write the Chrome-trace JSON file and return its path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(chrome_trace(telemetry), indent=2), encoding="utf-8")
-    return path
+    return write_text(path, json.dumps(chrome_trace(telemetry), indent=2))
 
 
 def spans_json(tracer: Tracer) -> list[dict[str, Any]]:
@@ -97,6 +108,4 @@ def spans_json(tracer: Tracer) -> list[dict[str, Any]]:
 
 def write_spans_json(tracer: Tracer, path: str | pathlib.Path) -> pathlib.Path:
     """Write the raw span dump and return its path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(spans_json(tracer), indent=2), encoding="utf-8")
-    return path
+    return write_text(path, json.dumps(spans_json(tracer), indent=2))

@@ -17,6 +17,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, TYPE_CHECKING
 
+from .export import write_text
 from .gitinfo import current_git_sha
 from .session import Telemetry
 
@@ -80,9 +81,7 @@ class RunManifest:
 
     def write(self, path: str | pathlib.Path) -> pathlib.Path:
         """Write the manifest file and return its path."""
-        path = pathlib.Path(path)
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
-        return path
+        return write_text(path, self.to_json() + "\n")
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunManifest":

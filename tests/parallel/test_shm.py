@@ -8,6 +8,7 @@ true Hogwild is racy by construction.
 
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,111 @@ class TestSingleWorkerDeterminism:
         assert res.counters[keys.UPDATE_CONFLICTS] == 0
 
 
+def _scripted_peer(model, act):
+    """A stand-in model whose link derivative first runs *act*: the one
+    call an item makes between reading the model and writing it, so
+    *act* plays a peer landing inside exactly that window."""
+
+    def scalar(margin):
+        act()
+        return model._dmargin_scalar(margin)
+
+    def vector(margins):
+        act()
+        return model._dmargin_fn(margins)
+
+    return SimpleNamespace(_dmargin_scalar=scalar, _dmargin_fn=vector)
+
+
+class TestRaceCounters:
+    """What ``async.update_conflicts`` / ``async.stale_reads`` count,
+    pinned in-process: the item body and the per-item skeleton are plain
+    functions, driven here against a scripted peer."""
+
+    def _footprint(self, ds, rows):
+        if hasattr(ds.X, "gather_rows_arrays"):
+            return ds.X.gather_rows_arrays(np.atleast_1d(rows))[1]
+        return np.arange(ds.X.shape[1])
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_conflicts_are_footprint_coordinates_written_in_window(
+        self, setup, batch_size
+    ):
+        model, ds, init = setup
+        w = init.copy()
+        rows = 5 if batch_size == 1 else np.arange(5, 5 + batch_size)
+        footprint = self._footprint(ds, rows)
+        inside = np.unique(footprint)[:3]
+        outside = np.setdiff1d(np.arange(w.shape[0]), footprint)[:2]
+        written = np.concatenate([inside, outside])
+
+        def peer_writes():
+            w[written] += 1.0
+
+        body = shm_mod._item_body(
+            _scripted_peer(model, peer_writes), ds.X, ds.y, w, 0.05, batch_size, True
+        )
+        hit = body(rows)
+        if outside.size:  # sparse: coordinates the rows do not touch never count
+            assert hit == np.isin(footprint, inside).sum() >= 3
+        else:  # dense: the footprint is the model, every written coordinate counts
+            assert hit == written.size == 3
+
+        quiet = shm_mod._item_body(model, ds.X, ds.y, w, 0.05, batch_size, True)
+        assert quiet(rows) == 0
+
+        untracked = shm_mod._item_body(
+            _scripted_peer(model, peer_writes), ds.X, ds.y, w, 0.05, batch_size, False
+        )
+        assert untracked(rows) == 0
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_stale_reads_follow_the_peers_published_word(self, setup, track):
+        model, ds, init = setup
+        w = init.copy()
+        words = memoryview(bytearray(8 * (shm_mod._N_CTL + 2 * shm_mod._N_SLOTS)))
+        words = words.cast("q")
+        progress = words[shm_mod._N_CTL + shm_mod._SLOT_UPDATES :: shm_mod._N_SLOTS]
+        mine, peer = shm_mod._N_CTL, shm_mod._N_CTL + shm_mod._N_SLOTS
+        raced = {2, 3, 7}  # items during which the peer commits an update
+        calls = iter(range(10))
+
+        def peer_commits():
+            if next(calls) in raced:
+                words[peer + shm_mod._SLOT_UPDATES] += 1
+
+        body = shm_mod._item_body(
+            _scripted_peer(model, peer_commits), ds.X, ds.y, w, 0.05, 1, track
+        )
+        killed = shm_mod._run_pass(
+            body, list(range(10)), [1] * 10, words, mine, progress
+        )
+        assert not killed
+        assert words[mine + shm_mod._SLOT_UPDATES] == 10
+        assert words[mine + shm_mod._SLOT_ITEMS] == 10
+        assert words[mine + shm_mod._SLOT_STALE] == len(raced)
+        assert words[mine + shm_mod._SLOT_CONFLICTS] == 0  # the peer wrote no coordinate
+
+        # A still peer: a second pass adds items, not stale reads.
+        still = shm_mod._item_body(model, ds.X, ds.y, w, 0.05, 1, track)
+        shm_mod._run_pass(still, list(range(10)), [1] * 10, words, mine, progress)
+        assert words[mine + shm_mod._SLOT_ITEMS] == 20
+        assert words[mine + shm_mod._SLOT_STALE] == len(raced)
+
+    def test_killed_pass_flushes_what_it_committed(self, setup):
+        model, ds, init = setup
+        w = init.copy()
+        words = memoryview(bytearray(8 * (shm_mod._N_CTL + shm_mod._N_SLOTS))).cast("q")
+        progress = words[shm_mod._N_CTL + shm_mod._SLOT_UPDATES :: shm_mod._N_SLOTS]
+        body = shm_mod._item_body(model, ds.X, ds.y, w, 0.05, 1, False)
+        killed = shm_mod._run_pass(
+            body, list(range(10)), [1] * 10, words, shm_mod._N_CTL, progress, 4
+        )
+        assert killed
+        assert words[shm_mod._N_CTL + shm_mod._SLOT_UPDATES] == 4
+        assert words[shm_mod._N_CTL + shm_mod._SLOT_ITEMS] == 4
+
+
 class TestConcurrentIntegrity:
     def test_buffer_finite_and_learning_under_races(self, setup):
         """Lock-free concurrent writes must leave a finite, improving
@@ -154,7 +260,11 @@ class TestConcurrentIntegrity:
         assert res.batch_size == 8
         assert not res.diverged
         assert res.curve.final_loss < res.curve.initial_loss
-        assert res.counters[keys.UPDATES_APPLIED] == ds.X.shape[0] * 6
+        n = ds.X.shape[0]
+        assert res.counters[keys.UPDATES_APPLIED] == n * 6
+        assert res.counters[keys.ASYNC_ROUNDS] == 6 * sum(
+            -(-len(range(k, n, 2)) // 8) for k in range(2)
+        )
 
     def test_slow_parent_loss_eval_does_not_break_workers(self, setup):
         """Regression: workers wait at the epoch barriers untimed —
@@ -211,6 +321,7 @@ class TestTelemetryConsistency:
         counters = tel.counters()
         assert counters[keys.UPDATES_APPLIED] == n * epochs
         assert counters[keys.GRAD_EVALS] == n * epochs
+        assert counters[keys.ASYNC_ROUNDS] == n * epochs
         assert counters[keys.EPOCHS] == epochs
         # initial + one eval per epoch
         assert counters[keys.LOSS_EVALS] == epochs + 1

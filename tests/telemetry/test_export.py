@@ -88,5 +88,5 @@ class TestSpansJson:
             <= set(d)
             for d in dump
         )
-        path = write_spans_json(tel.tracer, tmp_path / "spans.json")
+        path = write_spans_json(tel.tracer, tmp_path / "missing" / "spans.json")
         assert json.loads(path.read_text()) == dump

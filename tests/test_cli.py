@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -70,3 +75,64 @@ class TestLadderCommand:
         out = capsys.readouterr().out
         assert "Tolerance ladder" in out
         assert "crossover" in out
+
+
+class TestOutputsIntoMissingDirectory:
+    """``--trace-out`` / ``--manifest-out`` create the directory they
+    name: a run that already did its work must not die writing it down."""
+
+    def test_train_trace_and_manifest(self, tmp_path, capsys):
+        trace, manifest = tmp_path / "a" / "b" / "t.json", tmp_path / "c" / "m.json"
+        rc = main(
+            [
+                "train", "--task", "lr", "--dataset", "w8a", "--scale", "tiny",
+                "--epochs", "2", "--trace-out", str(trace),
+                "--manifest-out", str(manifest),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        assert "traceEvents" in json.loads(trace.read_text())
+        assert json.loads(manifest.read_text())["counters"]
+
+    def test_experiments_grid_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "nope" / "gm.json"
+        rc = main(
+            [
+                "experiments", "--artifacts", "table2", "--tasks", "lr",
+                "--datasets", "w8a", "--scale", "tiny", "--tolerance", "0.05",
+                "--manifest-out", str(manifest),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        schema = json.loads(manifest.read_text())["schema"]
+        assert schema == "repro.telemetry/grid-manifest/v1"
+
+    def test_serve_manifest(self, tmp_path):
+        from repro.serving import request_once
+        from repro.sgd import save_results, train
+
+        model = tmp_path / "model.json"
+        save_results(train("lr", "w8a", scale="tiny", max_epochs=2), model)
+        manifest = tmp_path / "nope" / "serve.json"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--model", str(model),
+                "--no-watch", "--manifest-out", str(manifest),
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            host, port = proc.stdout.readline().split()[-1].rsplit(":", 1)
+            request_once(host, int(port), {"op": "shutdown"})
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.wait()
+        schema = json.loads(manifest.read_text())["schema"]
+        assert schema == "repro.telemetry/serve-manifest/v1"
