@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: test chaos chaos-grid chaos-ps chaos-ps-server serve-smoke shapes experiments grid examples probe all
+.PHONY: test chaos chaos-grid chaos-ps chaos-ps-server serve-smoke shapes bench-pairs experiments grid examples probe all
 
 # Worker processes for the parallel experiment grid (make grid JOBS=8).
 JOBS ?= 4
@@ -99,6 +99,13 @@ serve-smoke:     ## train -> serve -> score through hot-swaps -> manifest check
 
 shapes:          ## regenerate + assert all tables/figures (CI runs exactly this)
 	PYTHONPATH=src python -m pytest benchmarks/ -q -s
+
+# make bench-pairs WORKLOAD=train-shm PARENT=HEAD~1 PAIRS=10 SEEDS=1,2
+PAIRS ?= 10
+SEEDS ?= 1
+bench-pairs:     ## alternating parent/change `bench run` pairs + the 9-of-10 / inter-quartile verdict
+	python3 scripts/bench_pairs.py --workload $(WORKLOAD) --parent $(PARENT) \
+		--pairs $(PAIRS) --seeds $(SEEDS)
 
 experiments:     ## rebuild EXPERIMENTS.md from a fresh run
 	REPRO_CACHE_DIR=.repro_cache python scripts/run_experiments.py
