@@ -284,7 +284,6 @@ def _worker_loop(
     try:
         w = np.ndarray((n_params,), dtype=np.float64, buffer=shm.buf)
         rng = derive_rng(seed, f"shm/{n_workers}/{worker_id}")
-        sparse = hasattr(X, "gather_rows_arrays")
         # Alone in the pool there is no other writer: nothing to track.
         body = _item_body(
             model, X, y, w, step, batch_size, track_conflicts and n_workers > 1
@@ -314,9 +313,11 @@ def _worker_loop(
                     words[base + _SLOT_FAULTS] += 1
                     if spec["kind"] in ("stall", "delay"):
                         sleep_seconds += spec["seconds"]
-                    else:  # nan: the pass starts from a poisoned window
-                        first = order[:batch_size]
-                        w[X.gather_rows_arrays(first)[1] if sparse else ...] = np.nan
+                    else:  # nan: the pass starts from a poisoned first window
+                        window = ...  # dense: the whole model
+                        if hasattr(X, "gather_rows_arrays"):
+                            window = X.gather_rows_arrays(order[:batch_size])[1]
+                        w[window] = np.nan
             if batch_size == 1:
                 work = order.tolist()
             else:
