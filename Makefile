@@ -101,6 +101,7 @@ shapes:          ## regenerate + assert all tables/figures (CI runs exactly this
 	PYTHONPATH=src python -m pytest benchmarks/ -q -s
 
 # make bench-pairs WORKLOAD=train-shm PARENT=HEAD~1 PAIRS=10 SEEDS=1,2
+# (compares committed trees: PARENT against HEAD, both exported)
 PAIRS ?= 10
 SEEDS ?= 1
 bench-pairs:     ## alternating parent/change `bench run` pairs + the 9-of-10 / inter-quartile verdict

@@ -2,13 +2,13 @@
 
     python3 scripts/bench_pairs.py --workload train-shm --parent HEAD~1
 
-Exports PARENT with ``git archive`` into a temporary directory, then for
-every pair runs BENCHMARK.json's command with ``--workload W --seed S
---trace 0`` in both checkouts (parent first on even pairs, this checkout
-first on odd ones) and prints, per end-to-end metric, both sides' median
-and quartiles, wins/ties and the choosing-metrics guide's section 8
-verdict: a gain only when the change is ahead in >= 9/10 of the pairs
-and the medians differ by more than the parent's inter-quartile distance.
+Exports both revisions with ``git archive`` (commit first; a checkout
+with ``.git`` pays a ``git rev-parse`` per manifest that an exported tree
+does not), runs BENCHMARK.json's command with ``--workload W --seed S
+--trace 0`` in both, alternating which goes first, and prints per
+end-to-end metric both sides' median and quartiles, wins/ties and the
+choosing-metrics guide's section 8 verdict: a gain only when the change
+wins >= 9/10 pairs and the medians differ by more than the parent's IQR.
 """
 
 import argparse
@@ -35,6 +35,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--parent", required=True, help="git revision to compare with")
+    ap.add_argument("--change", default="HEAD", help="git revision under test")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", default="1", help="comma-separated, cycled")
     args = ap.parse_args()
@@ -44,19 +45,18 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        tar = subprocess.run(
-            ["git", "archive", args.parent], cwd=ROOT, check=True, capture_output=True
-        )
-        subprocess.run(["tar", "-x", "-C", tmp], input=tar.stdout, check=True)
-        checkouts = {"parent": tmp, "change": ROOT}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            archive = ["git", "archive", f"--prefix={side}/", rev]
+            tar = subprocess.run(archive, cwd=ROOT, check=True, capture_output=True)
+            subprocess.run(["tar", "-x", "-C", tmp], input=tar.stdout, check=True)
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                metrics = run(spec["command"], checkouts[side], args.workload, seed)
+                metrics = run(spec["command"], f"{tmp}/{side}", args.workload, seed)
                 runs[side].append(metrics)
             print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
-    print(f"{args.workload}: {args.pairs} pairs, {args.parent} -> working tree")
+    print(f"{args.workload}: {args.pairs} pairs, {args.parent} -> {args.change}")
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         parent = [r[name] for r in runs["parent"]]
