@@ -244,6 +244,13 @@ class TestConcurrentIntegrity:
         assert res.workers == 3
         assert not res.diverged
         assert res.curve.final_loss < res.curve.initial_loss
+        # More workers than this host has cores: every locally tallied
+        # counter still reaches the block exactly once.
+        n = ds.X.shape[0]
+        assert res.counters[keys.UPDATES_APPLIED] == 5 * n
+        assert res.counters[keys.ASYNC_ROUNDS] == 5 * sum(
+            -(-len(range(k, n, 3)) // 4) for k in range(3)
+        )
 
     def test_hogbatch_minibatches_learn(self, setup):
         """Measured Hogbatch (batch_size > 1): fewer, coarser updates
