@@ -28,7 +28,14 @@ chaos-grid:      ## degraded-mode grid run under injected cell faults
 		m = json.load(open('/tmp/chaos_grid/manifest.json')); \
 		kinds = sorted(f['failure']['kind'] for f in m['failures']); \
 		assert kinds == ['crash', 'divergence', 'stall'], kinds; \
-		print('chaos-grid: quarantined kinds', kinds)"
+		assert m['settings']['keep_going'] is True, m['settings']; \
+		healthy = [c for c in m['cells'] if c.get('source') != 'quarantined']; \
+		assert healthy, 'chaos grid quarantined every cell'; \
+		assert m['counters'].get('grid.pool.created', 0) >= 1, m['counters']; \
+		print('chaos-grid: quarantined kinds', kinds, '|', len(healthy), 'healthy cells on the warm pool')"
+	@# The drill kills and replaces workers; none of it may leak a segment.
+	@ls /dev/shm/psm_* >/dev/null 2>&1 && \
+		{ echo 'chaos-grid: leaked shared-memory segments'; ls /dev/shm/psm_*; exit 1; } || true
 
 chaos-ps:        ## node-kill/node-stall drill against the parameter-server backend
 	rm -rf /tmp/chaos_ps && mkdir -p /tmp/chaos_ps

@@ -813,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_serve)
 
-    p = sub.add_parser("ladder", help="time-to-convergence at 10/5/2/1%")
+    p = sub.add_parser("ladder", help="time-to-convergence at 10/5/2/1%%")
     p.add_argument("--task", choices=TASK_NAMES, default="lr")
     p.add_argument("--dataset", choices=DATASET_NAMES, default="w8a")
     _add_context_args(p)

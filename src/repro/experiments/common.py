@@ -92,7 +92,8 @@ class ExperimentContext:
     #: quarantines the ones that exhaust their budget, so the grid
     #: always completes.  See docs/RESILIENCE.md.
     keep_going: bool = False
-    #: Retry/backoff/deadline policy for keep-going grids
+    #: Retry/backoff/deadline policy for keep-going grids; a fail-fast
+    #: fan-out reads only its two watchdog bounds
     #: (``None`` = :class:`repro.faults.CellRetryPolicy` defaults).
     retry: "CellRetryPolicy | None" = None
     #: Optional chaos plan: grid-level fault kinds (``cell-kill`` /

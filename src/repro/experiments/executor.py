@@ -39,38 +39,40 @@ serial path:
   of them disabled (``shared_data=False`` falls back to per-worker
   materialisation over copy-on-write fork memory).
 
-Failure handling comes in two modes (see docs/RESILIENCE.md):
+There is **one runner**: an event loop in the parent over the warm
+pool's supervised workers, each holding at most one job.  Results are
+collected (and persisted) as they land; a worker that dies, outlives
+its per-attempt deadline or lets its heartbeat go silent is killed and
+replaced alone, and the failure names exactly the cell it held.  The
+two modes of docs/RESILIENCE.md differ only in what happens to a failed
+attempt:
 
-* **fail-fast** (the default, the historical behaviour): the first
-  worker failure tears the grid down and raises a structured
-  :class:`~repro.utils.errors.WorkerError`, after flushing every
-  already-completed cell to the store.
-* **keep-going** (``ExperimentContext.keep_going``): every job runs in
-  its own supervised process with a heartbeat; crashes, stalls, worker
-  exceptions and non-finite results are retried under a
-  :class:`~repro.faults.CellRetryPolicy` (exponential backoff, shared
-  budget, per-attempt deadline + heartbeat watchdog, step-size backoff
-  for divergence) and cells that exhaust their budget are *quarantined*
-  as structured :class:`~repro.experiments.resilience.CellFailure`
-  records — the grid completes, degraded, instead of aborting.
+* **fail-fast** (the default): the first failure stops dispatching,
+  whatever is in flight lands and is persisted, the pool is retired and
+  a structured :class:`~repro.utils.errors.WorkerError` is raised.
+* **keep-going** (``ExperimentContext.keep_going``): the attempt is
+  retried under a :class:`~repro.faults.CellRetryPolicy` (exponential
+  backoff, shared budget, step-size backoff for non-finite results) and
+  a cell that exhausts its budget is *quarantined* as a structured
+  :class:`~repro.experiments.resilience.CellFailure` record — the grid
+  completes, degraded, instead of aborting.
 
 Grid-level fault kinds (``cell-kill`` / ``cell-stall`` / ``cell-nan``)
-from a :class:`~repro.faults.FaultPlan` chaos-test exactly these paths.
-
-Workers disable nested reference-loss parallelism
-(``REPRO_REFERENCE_JOBS=1`` via the pool initialiser) so a grid of N
-workers never forks N pools of M processes.
+from a :class:`~repro.faults.FaultPlan` chaos-test exactly these paths,
+in either mode.  ``jobs=1`` without keep-going runs in the parent — no
+pool, no pickling — and is the serial reference the fan-out is compared
+against.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import os
 import threading
 import time
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from typing import TYPE_CHECKING, Any
@@ -82,7 +84,6 @@ from ..telemetry import keys
 from ..telemetry.manifest import build_manifest
 from ..telemetry.session import Telemetry, ensure_telemetry
 from ..utils.errors import ConfigurationError, DivergenceError, WorkerError
-from ..utils.processes import fork_context
 from ..utils.rng import DEFAULT_SEED, derive_rng
 from . import pool as grid_pool
 from . import shared_data
@@ -95,12 +96,6 @@ __all__ = ["GridCell", "GridExecutor", "ARCHITECTURES", "STRATEGIES"]
 
 ARCHITECTURES = ("cpu-seq", "cpu-par", "gpu")
 STRATEGIES = ("synchronous", "asynchronous")
-
-#: Test hook: ``"task/dataset/architecture/strategy:exitcode"`` makes
-#: the worker assigned that cell die with the given exit code, so the
-#: crash-recovery path can be exercised without a real fault.  Read
-#: from the environment (inherited by fork and spawn alike).
-_CRASH_ENV = "REPRO_GRID_TEST_CRASH"
 
 #: Exit code of a worker killed by an injected ``cell-kill`` fault
 #: (distinctive, so post-mortems can tell injected deaths from real
@@ -154,18 +149,6 @@ class _Job:
     failure: CellFailure | None = None
 
 
-def _worker_init(descriptors: tuple = ()) -> None:
-    """Pool initialiser: forbid nested pools, map shared datasets.
-
-    The descriptor attach only does work on spawn platforms — fork
-    children inherit the parent's installed shared-memory views and the
-    call is a no-op for every already-cached dataset.
-    """
-    os.environ["REPRO_REFERENCE_JOBS"] = "1"
-    if descriptors:
-        shared_data.attach_descriptors(descriptors)
-
-
 def _apply_grid_fault(payload: dict[str, Any]) -> str | None:
     """Fire a scheduled grid fault inside the worker, if armed.
 
@@ -193,15 +176,11 @@ def _apply_grid_fault(payload: dict[str, Any]) -> str | None:
 
 def _execute_job(payload: dict[str, Any]) -> dict[str, Any]:
     """Train one configuration (runs in a worker, or in-parent for jobs=1)."""
-    crash = payload.get("crash")
-    if crash is not None:  # pragma: no cover - dies by design
-        os._exit(int(crash))
     references = payload.get("reference")
     if references:
         # The parent already solved (or loaded) this cell's reference
         # optimum; seeding the cache keeps the solve out of the worker.
         seed_reference_cache(references)
-    poison = _apply_grid_fault(payload)
     tel = Telemetry() if payload.get("telemetry") else None
     result = train(
         payload["task"],
@@ -217,8 +196,6 @@ def _execute_job(payload: dict[str, Any]) -> dict[str, Any]:
         gpu_model=payload.get("gpu_model"),
         telemetry=tel,
     )
-    if poison == "nan":
-        result.diverged = True
     return {
         "result": result,
         "telemetry": tel.snapshot_for_merge() if tel is not None else None,
@@ -226,24 +203,18 @@ def _execute_job(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _resilient_worker(
-    payload, conn, heartbeat, interval: float, descriptors=()
-) -> None:
-    """Entry point of one supervised keep-going worker process.
+def _run_attempt(task: tuple[dict[str, Any], float], heartbeat) -> dict[str, Any]:
+    """One attempt of one job inside a pool worker (the pool's target).
 
-    Injected kill/stall faults fire *before* the heartbeat thread
-    starts, so a stalled worker's heartbeat stays at its spawn value
-    and the parent watchdog sees the silence.  Everything the worker
-    has to say goes back over *conn* as one dict: ``{"ok": True, ...}``
-    with the trained result, or ``{"ok": False, ...}`` describing the
-    exception.  A worker that dies without sending is a crash.
+    Injected kill/stall faults fire *before* the beat thread starts, so
+    a stalled worker's heartbeat stays at the parent's dispatch stamp
+    and the watchdog sees the silence.  Everything the worker has to
+    say is the returned dict: ``{"ok": True, ...}`` with the trained
+    result, or ``{"ok": False, ...}`` describing the exception.  A
+    worker that dies without replying is a crash.
     """
-    os.environ["REPRO_REFERENCE_JOBS"] = "1"
-    if descriptors:
-        shared_data.attach_descriptors(descriptors)
-    payload = dict(payload)
+    payload, interval = task
     poison = _apply_grid_fault(payload)
-    payload.pop("grid_fault", None)
     stop = threading.Event()
 
     def _beat() -> None:
@@ -251,28 +222,25 @@ def _resilient_worker(
             heartbeat.value = time.time()
             stop.wait(interval)
 
-    beater = threading.Thread(target=_beat, daemon=True)
-    beater.start()
+    threading.Thread(target=_beat, daemon=True).start()
     try:
         out = _execute_job(payload)
         if poison == "nan":
             out["result"].diverged = True
-        conn.send({"ok": True, **out})
-    except BaseException as exc:  # noqa: BLE001 - ships the failure home
-        try:
-            conn.send(
-                {
-                    "ok": False,
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "pid": os.getpid(),
-                }
-            )
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
+        return {"ok": True, **out}
+    except Exception as exc:  # noqa: BLE001 - ships the failure home
+        return {"ok": False, "type": type(exc).__name__, "message": str(exc)}
     finally:
         stop.set()
-        conn.close()
+
+
+#: What a keep-going grid counts for each kind of failed attempt.
+_FAILURE_COUNTER = {
+    "crash": keys.GRID_RETRY_CRASHES,
+    "stall": keys.GRID_RETRY_STALLS,
+    "divergence": keys.GRID_RETRY_DIVERGENCES,
+    "exception": keys.GRID_WORKER_FAILURES,
+}
 
 
 def _result_is_finite(result: TrainResult) -> bool:
@@ -284,22 +252,23 @@ def _result_is_finite(result: TrainResult) -> bool:
 
 @dataclass
 class _CellState:
-    """Parent-side supervision state of one keep-going job."""
+    """Parent-side supervision state of one job on the pool."""
 
     job: _Job
-    index: int  # 1-based submission index (= FaultSpec.epoch)
     fault: dict[str, Any] | None = None
     attempts: int = 0
     resubmissions: int = 0  # backoff exponent
     divergence_retries: int = 0
-    step_size: float | None = None  # backed-off step, once diverged
+    step_size: float = 0.0  # the job's own, halved per divergence retry
     errors: list[dict[str, Any]] = field(default_factory=list)
     pids: list[int | None] = field(default_factory=list)
-    first_spawn: float | None = None
-    proc: Any = None
-    conn: Any = None
-    heartbeat: Any = None
-    spawned_at: float = 0.0
+    first_dispatch: float = 0.0  # monotonic; set by attempt 1
+    worker: Any = None  # the pool worker holding the current attempt
+    dispatched_at: float = 0.0
+    snapshot: dict[str, Any] | None = None  # telemetry of the attempt that landed
+
+    def __post_init__(self) -> None:
+        self.step_size = self.job.payload["step_size"]
 
 
 def _hw_fingerprint(ctx: "ExperimentContext") -> dict[str, Any]:
@@ -334,13 +303,6 @@ class GridExecutor:
 
     # -- planning -----------------------------------------------------
 
-    def _crash_spec(self) -> tuple[str, int] | None:
-        raw = os.environ.get(_CRASH_ENV)
-        if not raw:
-            return None
-        label, _, code = raw.partition(":")
-        return label, int(code or "13")
-
     def _payload(self, cell: GridCell, kind: str) -> dict[str, Any]:
         ctx = self.ctx
         sync = kind == "sync-base"
@@ -362,9 +324,6 @@ class GridExecutor:
         if sync:
             payload["cpu_model"] = ctx.cpu
             payload["gpu_model"] = ctx.gpu
-        crash = self._crash_spec()
-        if crash is not None and crash[0] == cell.label():
-            payload["crash"] = crash[1]
         return payload
 
     def _config(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -374,7 +333,6 @@ class GridExecutor:
             if k
             not in (
                 "telemetry",
-                "crash",
                 "cpu_model",
                 "gpu_model",
                 "grid_fault",
@@ -459,26 +417,13 @@ class GridExecutor:
     def _persist(self, job: _Job) -> None:
         """Flush one completed job to the store, immediately.
 
-        Called the moment a result lands (in-parent, pool collect loop,
-        resilient scheduler, and the abort-path sweep), so partial
-        progress survives any later failure of the same grid.
+        Called the moment a result lands (in-parent or in the pool's
+        event loop), so partial progress survives any later failure of
+        the same grid.
         """
-        ctx = self.ctx
-        if (
-            ctx.store is not None
-            and job.source == "executed"
-            and job.result is not None
-        ):
-            ctx.store.save(
-                job.config, job.result, include_trace=job.kind == "sync-base"
-            )
-
-    def _grid_faults(self, to_run: list[_Job]) -> dict[int, dict[str, Any]]:
-        """Injected grid faults keyed by 1-based job submission index."""
-        ctx = self.ctx
-        if ctx.fault_plan is None:
-            return {}
-        return ctx.fault_plan.resolve_grid(len(to_run))
+        store = self.ctx.store
+        if store is not None:
+            store.save(job.config, job.result, include_trace=job.kind == "sync-base")
 
     def _dataset_specs(self, to_run: list[_Job]) -> tuple[shared_data.DatasetSpec, ...]:
         """Unique (dataset, scale, seed, mlp?) specs the jobs will load."""
@@ -569,7 +514,7 @@ class GridExecutor:
         return key, value
 
     def _run_jobs(self, jobs: list[_Job], tel, parent_span) -> None:
-        """Execute the planned jobs, serially or over worker processes."""
+        """Execute the planned jobs, in the parent or over the warm pool."""
         ctx = self.ctx
         to_run = [job for job in jobs if job.result is None]
         if not to_run:
@@ -577,18 +522,11 @@ class GridExecutor:
         fan_out = ctx.keep_going or (ctx.jobs > 1 and len(to_run) > 1)
         if fan_out or ctx.store is not None:
             self._prepare_references(to_run, tel)
-        descriptors: tuple = ()
-        if fan_out and ctx.shared_data:
-            descriptors = self._publish_shared(to_run, tel)
-        if ctx.keep_going:
-            self._run_jobs_resilient(to_run, tel, parent_span, descriptors)
-            return
-        faults = self._grid_faults(to_run)
-        if ctx.jobs <= 1 or len(to_run) == 1:
-            # In-parent: grid faults are not injected here (a cell-kill
-            # would take the parent down with it); fail-fast in-parent
-            # keeps the historical semantics, now with a structured
-            # wrapper and per-cell flushing.
+        if not fan_out:
+            # In-parent, the serial reference: grid faults are not
+            # injected here (a cell-kill would take the parent down
+            # with it) and a failing cell aborts the grid, with a
+            # structured wrapper and per-cell flushing.
             for job in to_run:
                 try:
                     out = _execute_job(job.payload)
@@ -604,291 +542,185 @@ class GridExecutor:
                 if out["telemetry"] is not None:
                     tel.merge_snapshot(out["telemetry"], parent_span=parent_span)
             return
+        descriptors = self._publish_shared(to_run, tel) if ctx.shared_data else ()
+        workers = max(1, ctx.jobs)
         pool, created = grid_pool.acquire_pool(
-            ctx.jobs,
+            workers,
             shared=ctx.shared_data,
             specs=self._dataset_specs(to_run),
-            mp_context=fork_context(),
-            initializer=_worker_init,
-            initargs=(descriptors,),
+            target=_run_attempt,
+            descriptors=descriptors,
         )
         tel.count(keys.GRID_POOL_CREATED if created else keys.GRID_POOL_REUSED)
-        tel.set_gauge(keys.GRID_POOL_WORKERS, ctx.jobs)
+        tel.set_gauge(keys.GRID_POOL_WORKERS, workers)
         try:
-            futures = []
-            try:
-                for index, job in enumerate(to_run, start=1):
-                    payload = job.payload
-                    if index in faults:
-                        payload = {
-                            **payload,
-                            "grid_fault": faults[index],
-                            "grid_attempt": 1,
-                        }
-                    futures.append((job, pool.submit(_execute_job, payload)))
-            except BrokenProcessPool as exc:
-                # A warm pool's workers start immediately, so a cell
-                # that kills its worker can poison the pool while the
-                # parent is still submitting — submit() then raises
-                # instead of the future.  Same structured translation
-                # as the collect loop below.
-                tel.count(keys.GRID_WORKER_FAILURES)
-                self._flush_completed(futures)
-                raise WorkerError(
-                    "grid worker process died abruptly "
-                    f"(while submitting cell {job.cell.label()}): {exc}",
-                    phase="pool",
-                ) from exc
-            # Collect in submission order: the telemetry merge and the
-            # cache fill become deterministic regardless of scheduling.
-            for job, future in futures:
-                try:
-                    out = future.result()
-                except BrokenProcessPool as exc:
-                    # A dead worker poisons every outstanding future, so
-                    # the cell named here is the first affected one in
-                    # submission order, not necessarily the killer.
-                    tel.count(keys.GRID_WORKER_FAILURES)
-                    self._flush_completed(futures)
-                    raise WorkerError(
-                        "grid worker process died abruptly "
-                        f"(first affected cell {job.cell.label()}): {exc}",
-                        phase="pool",
-                    ) from exc
-                except Exception as exc:
-                    tel.count(keys.GRID_WORKER_FAILURES)
-                    self._flush_completed(futures)
-                    raise WorkerError(
-                        f"grid cell {job.cell.label()} failed in worker: {exc}",
-                        phase="grid-cell",
-                    ) from exc
-                job.result = out["result"]
-                job.worker_pid = out["pid"]
-                self._persist(job)
-                if out["telemetry"] is not None:
-                    tel.merge_snapshot(out["telemetry"], parent_span=parent_span)
+            self._supervise(pool, to_run, tel, parent_span)
         except BaseException:
-            # Warm reuse is strictly the happy path: any failure —
-            # broken pool, worker exception, interrupt — retires the
-            # pool so no zombie task can bleed into the next grid.
-            # (Shared-data segments survive; they are read-only inputs.)
+            # Warm reuse is for grids that ran to the end: any abort —
+            # a fail-fast failure, an interrupt — retires the pool,
+            # killing whatever is still in flight, so no zombie task
+            # can bleed into the next grid.  (Shared-data segments
+            # survive; they are read-only inputs.)
             tel.count(keys.GRID_POOL_RETIRED)
             grid_pool.retire_pool()
             raise
 
-    def _flush_completed(self, futures) -> None:
-        """Abort-path sweep: persist every future that did complete.
+    def _supervise(self, pool, to_run: list[_Job], tel, parent_span) -> None:
+        """The one event loop: dispatch, collect, watch, retry or abort.
 
-        The submission-order collect loop may be stuck on job k while
-        jobs k+1.. already finished; without this sweep their results
-        would be lost when the grid raises.
-        """
-        for job, future in futures:
-            if job.result is not None:
-                continue
-            if not future.done() or future.cancelled():
-                continue
-            try:
-                if future.exception() is not None:
-                    continue
-                out = future.result()
-            except Exception:  # pragma: no cover - racing a dying pool
-                continue
-            job.result = out["result"]
-            job.worker_pid = out["pid"]
-            self._persist(job)
-
-    # -- keep-going scheduler -----------------------------------------
-
-    def _run_jobs_resilient(
-        self, to_run: list[_Job], tel, parent_span, descriptors: tuple = ()
-    ) -> None:
-        """Supervised per-job processes with retry, watchdog, quarantine.
-
-        Every job gets its own process, pipe and heartbeat slot.  The
-        parent runs an event loop over the pipes: results are collected
-        as they land (each immediately persisted), failures are retried
-        with exponential backoff under the shared
-        :class:`~repro.faults.CellRetryPolicy` budget, wedged workers
-        are killed by the deadline/heartbeat watchdog, and non-finite
-        results get one step-size-backoff retry before quarantine.
+        Every idle pool worker is handed one job; the parent waits on
+        the workers' pipes, so a reply and a death (EOF) both wake it.
+        Results are collected as they land (each immediately
+        persisted); wedged workers are killed by the deadline/heartbeat
+        watchdog and replaced alone.  What happens to a failed attempt
+        is the one thing ``ctx.keep_going`` decides (``_failed``).
         Telemetry snapshots are buffered and merged in submission order
         after the loop, so the merge stays deterministic even though
         completion order is not.
         """
         ctx = self.ctx
         policy = ctx.retry if ctx.retry is not None else CellRetryPolicy()
-        mp_ctx = fork_context()
-        faults = self._grid_faults(to_run)
+        # Injected grid faults are keyed by 1-based submission index.
+        plan = ctx.fault_plan
+        faults = plan.resolve_grid(len(to_run)) if plan is not None else {}
         states = [
-            _CellState(job=job, index=i, fault=faults.get(i))
+            _CellState(job=job, fault=faults.get(i))
             for i, job in enumerate(to_run, start=1)
         ]
         pending: deque[_CellState] = deque(states)
         delayed: list[tuple[float, int, _CellState]] = []
-        running: dict[Any, _CellState] = {}
-        snapshots: dict[int, dict[str, Any]] = {}
+        running: dict[Any, _CellState] = {}  # worker pipe -> its one job
         budget = policy.max_restarts
-        max_workers = min(max(1, ctx.jobs), len(to_run))
-        push_seq = 0
+        max_workers = min(pool.jobs, len(to_run))
+        push_seq = itertools.count()  # heap tie-break: first failed, first retried
+        abort: WorkerError | None = None  # fail-fast: the first failure
         if policy.heartbeat_timeout is not None:
             beat_interval = max(0.01, min(policy.heartbeat_timeout / 4.0, 0.5))
         else:
             beat_interval = 0.5
 
-        def _spawn(state: _CellState) -> None:
+        def _dispatch(state: _CellState) -> None:
             state.attempts += 1
-            payload = dict(state.job.payload)
-            if state.step_size is not None:
-                payload["step_size"] = state.step_size
+            payload = {**state.job.payload, "step_size": state.step_size}
             if state.fault is not None:
                 payload["grid_fault"] = state.fault
                 payload["grid_attempt"] = state.attempts
-            recv_conn, send_conn = mp_ctx.Pipe(duplex=False)
-            heartbeat = mp_ctx.Value("d", time.time())
-            proc = mp_ctx.Process(
-                target=_resilient_worker,
-                args=(payload, send_conn, heartbeat, beat_interval, descriptors),
-                daemon=True,
-            )
-            proc.start()
-            send_conn.close()
-            now = time.monotonic()
-            if state.first_spawn is None:
-                state.first_spawn = now
-            state.proc, state.conn, state.heartbeat = proc, recv_conn, heartbeat
-            state.spawned_at = now
-            state.pids.append(proc.pid)
-            running[recv_conn] = state
-
-        def _reap(state: _CellState) -> None:
-            proc = state.proc
+            worker = pool.checkout()
+            state.worker, state.dispatched_at = worker, time.monotonic()
+            if state.attempts == 1:
+                state.first_dispatch = state.dispatched_at
+            state.pids.append(worker.proc.pid)
+            worker.heartbeat.value = time.time()
             try:
-                state.conn.close()
-            except OSError:  # pragma: no cover - already closed
+                worker.conn.send((payload, beat_interval))
+            except OSError:
+                # The worker died while idle: its pipe reads EOF below
+                # and the loss is charged to this attempt as a crash.
                 pass
-            if proc is None:
-                return
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - refuses to die
-                proc.kill()
-                proc.join()
-            state.proc = state.conn = state.heartbeat = None
+            running[worker.conn] = state
 
-        def _quarantine(
-            state: _CellState, kind: str, *, budget_exhausted: bool
+        def _failed(
+            state: _CellState,
+            kind: str,
+            entry: dict[str, Any],
+            exitcode: int | None = None,
         ) -> None:
-            job = state.job
-            elapsed = time.monotonic() - (state.first_spawn or time.monotonic())
-            failure = CellFailure(
-                task=job.cell.task,
-                dataset=job.cell.dataset,
-                architecture=job.cell.architecture,
-                strategy=job.cell.strategy,
-                kind=kind,
-                phase="collect" if kind == "divergence" else "train",
-                attempts=state.attempts,
-                error_chain=tuple(state.errors),
-                elapsed_seconds=elapsed,
-                worker_pids=tuple(state.pids),
-                budget_exhausted=budget_exhausted,
-                covers=tuple(c.label() for c in job.covers),
-            )
-            job.failure = failure
-            job.source = "quarantined"
-            tel.count(keys.GRID_QUARANTINE_CELLS, len(job.covers))
-            if budget_exhausted:
-                tel.count(keys.GRID_QUARANTINE_BUDGET_EXHAUSTED)
-
-        def _failed(state: _CellState, kind: str, entry: dict[str, Any]) -> None:
-            nonlocal budget, push_seq
+            nonlocal budget, abort
+            if not ctx.keep_going:
+                # Fail-fast: nothing new is dispatched; what is in
+                # flight lands (and persists) before the first failure
+                # is raised.
+                tel.count(keys.GRID_WORKER_FAILURES)
+                if abort is None:
+                    abort = WorkerError(
+                        f"grid cell {state.job.cell.label()} failed in worker: "
+                        f"{entry['type']}: {entry['message']}",
+                        phase="grid-cell" if kind == "exception" else "pool",
+                        exitcode=exitcode,
+                    )
+                pending.clear()
+                return
             entry = {**entry, "attempt": state.attempts, "kind": kind}
             state.errors.append(entry)
-            if kind == "crash":
-                tel.count(keys.GRID_RETRY_CRASHES)
-            elif kind == "stall":
-                tel.count(keys.GRID_RETRY_STALLS)
-            elif kind == "divergence":
-                tel.count(keys.GRID_RETRY_DIVERGENCES)
-            else:
-                tel.count(keys.GRID_WORKER_FAILURES)
+            tel.count(_FAILURE_COUNTER[kind])
             if kind == "divergence":
                 retry_ok = state.divergence_retries < policy.divergence_retries
             else:
                 retry_ok = state.attempts < policy.max_attempts
-            if not retry_ok:
-                _quarantine(state, kind, budget_exhausted=False)
-                return
-            if budget <= 0:
-                _quarantine(state, kind, budget_exhausted=True)
+            if not retry_ok or budget <= 0:
+                # Quarantine: out of attempts, or (retry_ok) out of budget.
+                job = state.job
+                job.failure = CellFailure(
+                    **asdict(job.cell),
+                    kind=kind,
+                    phase="collect" if kind == "divergence" else "train",
+                    attempts=state.attempts,
+                    error_chain=tuple(state.errors),
+                    elapsed_seconds=time.monotonic() - state.first_dispatch,
+                    worker_pids=tuple(state.pids),
+                    budget_exhausted=retry_ok,
+                    covers=tuple(c.label() for c in job.covers),
+                )
+                job.source = "quarantined"
+                tel.count(keys.GRID_QUARANTINE_CELLS, len(job.covers))
+                if retry_ok:
+                    tel.count(keys.GRID_QUARANTINE_BUDGET_EXHAUSTED)
                 return
             budget -= 1
             if kind == "divergence":
                 state.divergence_retries += 1
-                current = (
-                    state.step_size
-                    if state.step_size is not None
-                    else state.job.payload["step_size"]
-                )
-                state.step_size = current * policy.step_backoff
+                state.step_size *= policy.step_backoff
             delay = policy.retry_delay(state.resubmissions)
             state.resubmissions += 1
             tel.count(keys.GRID_RETRY_ATTEMPTS)
             tel.count(keys.GRID_RETRY_BACKOFF_SECONDS, delay)
-            push_seq += 1
-            heapq.heappush(delayed, (time.monotonic() + delay, push_seq, state))
+            heapq.heappush(delayed, (time.monotonic() + delay, next(push_seq), state))
 
         def _collect(state: _CellState) -> None:
+            worker = state.worker
             try:
-                msg = state.conn.recv()
+                msg = worker.conn.recv()
             except (EOFError, OSError):
-                msg = None
-            proc = state.proc
-            _reap(state)
-            if msg is None:
-                exitcode = proc.exitcode if proc is not None else None
+                exitcode = pool.discard(worker)
                 _failed(
                     state,
                     "crash",
                     {
                         "type": "WorkerCrash",
                         "message": (
-                            f"worker pid {state.pids[-1]} died without a result "
+                            f"worker pid {worker.proc.pid} died without a result "
                             f"(exit code {exitcode})"
                         ),
                     },
+                    exitcode,
                 )
                 return
-            if not msg.get("ok"):
+            pool.checkin(worker)
+            if not msg["ok"]:
                 _failed(
                     state,
                     "exception",
-                    {
-                        "type": msg.get("type", "Exception"),
-                        "message": msg.get("message", ""),
-                    },
+                    {"type": msg["type"], "message": msg["message"]},
                 )
                 return
             job = state.job
             result = msg["result"]
-            if not _result_is_finite(result):
-                step = (
-                    state.step_size
-                    if state.step_size is not None
-                    else job.payload["step_size"]
-                )
+            # The divergence sentinel is keep-going's: under fail-fast a
+            # diverging configuration is a *result* (the paper's ∞
+            # entries), not a failed attempt.
+            if ctx.keep_going and not _result_is_finite(result):
                 err = DivergenceError(
                     f"non-finite loss from grid cell {job.cell.label()} "
-                    f"at step size {step:g}",
+                    f"at step size {state.step_size:g}",
                     cell=job.cell.label(),
-                    step_size=step,
+                    step_size=state.step_size,
                     attempt=state.attempts,
                 )
                 _failed(
                     state, "divergence", {"type": "DivergenceError", **err.describe()}
                 )
                 return
-            if state.step_size is not None:
+            if state.divergence_retries:
                 # The divergence sentinel changed the step: the store
                 # key must describe the run that actually produced this
                 # result.
@@ -897,83 +729,69 @@ class GridExecutor:
             job.result = result
             job.worker_pid = msg["pid"]
             self._persist(job)
-            if msg.get("telemetry") is not None:
-                snapshots[id(job)] = msg["telemetry"]
+            state.snapshot = msg["telemetry"]
+
+        def _bounds(state: _CellState, now_m: float, now_w: float):
+            """(name, limit, elapsed) of each bound armed on a running attempt."""
+            if policy.deadline is not None:
+                yield "deadline", policy.deadline, now_m - state.dispatched_at
+            if policy.heartbeat_timeout is not None:
+                silence = now_w - state.worker.heartbeat.value
+                yield "heartbeat", policy.heartbeat_timeout, silence
 
         def _watchdog() -> None:
-            now_m = time.monotonic()
-            now_w = time.time()
-            wedged = []
-            for state in running.values():
-                if (
-                    policy.deadline is not None
-                    and now_m - state.spawned_at > policy.deadline
-                ):
-                    wedged.append((state, "deadline", now_m - state.spawned_at))
-                elif (
-                    policy.heartbeat_timeout is not None
-                    and now_w - state.heartbeat.value > policy.heartbeat_timeout
-                ):
-                    wedged.append((state, "heartbeat", now_w - state.heartbeat.value))
-            for state, why, silence in wedged:
-                running.pop(state.conn, None)
-                proc = state.proc
-                if proc is not None and proc.is_alive():
-                    proc.terminate()
-                _reap(state)
+            now_m, now_w = time.monotonic(), time.time()
+            for state in list(running.values()):
+                blown = [
+                    (why, elapsed)
+                    for why, limit, elapsed in _bounds(state, now_m, now_w)
+                    if elapsed > limit
+                ]
+                if not blown:
+                    continue
+                why, elapsed = blown[0]
+                worker = state.worker
+                del running[worker.conn]
+                pool.discard(worker)
                 _failed(
                     state,
                     "stall",
                     {
                         "type": "WorkerStall",
                         "message": (
-                            f"worker pid {state.pids[-1]} killed by the {why} "
-                            f"watchdog after {silence:.1f}s"
+                            f"worker pid {worker.proc.pid} killed by the {why} "
+                            f"watchdog after {elapsed:.1f}s"
                         ),
                     },
                 )
 
         def _tick_timeout() -> float:
+            """Sleep until the next retry is due or the next bound can blow."""
+            now_m, now_w = time.monotonic(), time.time()
             candidates = [0.5]
-            now_m = time.monotonic()
             if delayed:
                 candidates.append(delayed[0][0] - now_m)
-            now_w = time.time()
             for state in running.values():
-                if policy.deadline is not None:
-                    candidates.append(policy.deadline - (now_m - state.spawned_at))
-                if policy.heartbeat_timeout is not None:
-                    candidates.append(
-                        policy.heartbeat_timeout - (now_w - state.heartbeat.value)
-                    )
+                for _, limit, elapsed in _bounds(state, now_m, now_w):
+                    candidates.append(limit - elapsed)
             return max(0.02, min(candidates))
 
-        try:
-            while pending or delayed or running:
-                now_m = time.monotonic()
-                while delayed and delayed[0][0] <= now_m:
-                    pending.append(heapq.heappop(delayed)[2])
-                while pending and len(running) < max_workers:
-                    _spawn(pending.popleft())
-                if not running:
-                    if delayed:
-                        time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                    continue
-                for conn in _conn_wait(list(running), timeout=_tick_timeout()):
-                    state = running.pop(conn)
-                    _collect(state)
-                _watchdog()
-        finally:
-            for state in list(running.values()):
-                proc = state.proc
-                if proc is not None and proc.is_alive():  # pragma: no cover - abort
-                    proc.kill()
-                _reap(state)
+        while pending or delayed or running:
+            now_m = time.monotonic()
+            while delayed and delayed[0][0] <= now_m:
+                pending.append(heapq.heappop(delayed)[2])
+            while pending and len(running) < max_workers:
+                _dispatch(pending.popleft())
+            # With nothing running this is the sleep until a retry is due.
+            for conn in _conn_wait(list(running), timeout=_tick_timeout()):
+                _collect(running.pop(conn))
+            _watchdog()
         # Deterministic merge: submission order, final attempts only.
-        for job in to_run:
-            snap = snapshots.get(id(job))
-            if snap is not None:
-                tel.merge_snapshot(snap, parent_span=parent_span)
+        for state in states:
+            if state.snapshot is not None:
+                tel.merge_snapshot(state.snapshot, parent_span=parent_span)
+        if abort is not None:
+            raise abort
 
     # -- merge and provenance -----------------------------------------
 
@@ -1009,32 +827,13 @@ class GridExecutor:
             extra_config={"tolerance": ctx.tolerance},
         )
         record: dict[str, Any] = {
-            "cell": {
-                "task": cell.task,
-                "dataset": cell.dataset,
-                "architecture": cell.architecture,
-                "strategy": cell.strategy,
-            },
+            "cell": asdict(cell),
             "source": source,
             "manifest": manifest.to_dict(),
         }
         if pid is not None:
             record["worker_pid"] = pid
         self.cell_records.append(record)
-
-    def _record_quarantined(self, cell: GridCell, failure: CellFailure) -> None:
-        self.cell_records.append(
-            {
-                "cell": {
-                    "task": cell.task,
-                    "dataset": cell.dataset,
-                    "architecture": cell.architecture,
-                    "strategy": cell.strategy,
-                },
-                "source": "quarantined",
-                "failure": failure.describe(),
-            }
-        )
 
     def execute(self, cells: list[GridCell]) -> dict[GridCell, TrainResult]:
         """Produce every requested cell; returns cell -> result.
@@ -1077,7 +876,13 @@ class GridExecutor:
             for cell in cells:
                 failure = ctx.failure_for(*cell.key)
                 if failure is not None and cell.key not in ctx._cache:
-                    self._record_quarantined(cell, failure)
+                    self.cell_records.append(
+                        {
+                            "cell": asdict(cell),
+                            "source": "quarantined",
+                            "failure": failure.describe(),
+                        }
+                    )
                     continue
                 job = job_by_cell.get(cell.key)
                 if cell in cached:

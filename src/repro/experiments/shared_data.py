@@ -22,7 +22,7 @@ Lifecycle
   so **forked** children inherit the views for free — zero copies, zero
   attach calls.
 * On spawn platforms (or after an exec) workers receive the descriptors
-  via the pool initializer and call :func:`attach_descriptors`, which
+  as a start-up argument and call :func:`attach_descriptors`, which
   maps each segment by name.  The call is a no-op for any dataset whose
   cache slot is already populated (the fork-inheritance fast path).
 * Teardown (:func:`shutdown_shared_data`, also registered ``atexit``)

@@ -27,7 +27,6 @@ from .engine import (
     SnapshotRefresher,
     SnapshotSource,
 )
-from .loadgen import LoadGenerator, LoadReport
 from .service import ScoringServer, ServerConfig, request_once
 from .snapshot import ModelSnapshot, ShmTrainHandle, SnapshotPublisher
 
@@ -36,8 +35,6 @@ __all__ = [
     "ArtifactSource",
     "EngineStats",
     "ExampleScore",
-    "LoadGenerator",
-    "LoadReport",
     "ModelSnapshot",
     "ScoreResponse",
     "ScoringEngine",

@@ -198,8 +198,8 @@ class ScoringEngine:
     Two entry points:
 
     * :meth:`score` — synchronous, one vectorised kernel call for the
-      given examples (the load generator's "unbatched" baseline and the
-      building block the batcher uses);
+      given examples (the unbatched baseline, and the building block
+      the batcher uses);
     * :meth:`request` — enqueue and wait: a background batcher thread
       coalesces examples from concurrent requests into micro-batches of
       up to ``max_batch`` rows (waiting at most ``max_delay`` seconds

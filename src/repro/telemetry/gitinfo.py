@@ -8,6 +8,7 @@ to ``None`` rather than raising.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import subprocess
 
@@ -26,8 +27,17 @@ def repo_root(start: str | pathlib.Path | None = None) -> pathlib.Path | None:
 def current_git_sha(start: str | pathlib.Path | None = None) -> str | None:
     """The current commit SHA of the enclosing repository, or ``None``."""
     root = repo_root(start)
-    if root is None:
-        return None
+    return _sha_at(root) if root is not None else None
+
+
+@functools.lru_cache(maxsize=None)
+def _sha_at(root: pathlib.Path) -> str | None:
+    """``git rev-parse HEAD`` in *root*, forked once per process and root.
+
+    The sha pins the code this process imported, which does not change
+    underneath it — and a grid writes one manifest per cell, so asking
+    ``git`` each time cost a fork per cell.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -262,8 +262,8 @@ GRID_POOL_CREATED = "grid.pool.created"
 #: Grid fan-outs served by an already-warm worker pool (no spawn cost).
 GRID_POOL_REUSED = "grid.pool.reused"
 
-#: Warm pools torn down on a failure path (broken pool, worker
-#: exception, interrupt) — the next fan-out rebuilds from cold.
+#: Warm pools torn down because a grid aborted (fail-fast failure,
+#: interrupt) — the next fan-out rebuilds from cold.
 GRID_POOL_RETIRED = "grid.pool.retired"
 
 #: Gauge: worker capacity of the warm pool serving the last fan-out.

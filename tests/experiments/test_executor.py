@@ -10,6 +10,9 @@ recomputing, a dead worker must surface as a structured
 with totals matching a serial instrumented run.
 """
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.experiments import (
@@ -18,6 +21,7 @@ from repro.experiments import (
     GridExecutor,
     ResultStore,
 )
+from repro.faults import FaultPlan
 from repro.telemetry import Telemetry, keys
 from repro.utils.errors import ConfigurationError, WorkerError
 
@@ -206,20 +210,58 @@ class TestResume:
 
 
 class TestWorkerFailure:
-    def test_dead_worker_raises_structured_error(self, monkeypatch):
-        """A worker killed mid-cell surfaces as WorkerError, not a raw
-        BrokenProcessPool."""
+    def test_dead_worker_raises_structured_error(self):
+        """A worker killed mid-cell surfaces as a structured WorkerError."""
+        # Submission order: covtype's sync base, then its async cells.
         cell = GridCell("lr", "covtype", "cpu-seq", "asynchronous")
-        monkeypatch.setenv("REPRO_GRID_TEST_CRASH", f"{cell.label()}:13")
         tel = Telemetry()
-        ctx = make_ctx(jobs=2, telemetry=tel)
+        ctx = make_ctx(
+            jobs=2, telemetry=tel, fault_plan=FaultPlan.parse(["cell-kill@2"])
+        )
         with pytest.raises(WorkerError) as err:
             GridExecutor(ctx).execute(all_cells())
         assert err.value.phase == "pool"
-        # A dead worker poisons the whole pool; the error names the
-        # first affected cell (submission order), not always the killer.
-        assert "first affected cell lr/" in str(err.value)
+        # One job per worker: the error names the cell that killed its
+        # worker, and the exit code it died with.
+        assert cell.label() in str(err.value)
+        assert "exit code 23" in str(err.value)
+        assert err.value.exitcode == 23
         assert tel.counters()[keys.GRID_WORKER_FAILURES] == 1
+
+    def test_crash_names_its_cell_and_spares_the_neighbours(self, tmp_path):
+        """The first submitted cell kills its worker while two others
+        are in flight: the error names the killer, and the in-flight
+        cells land in the store before it is raised."""
+        cells = [c for c in all_cells() if c.strategy == "asynchronous"]
+        store = ResultStore(tmp_path / "grid")
+        ctx = make_ctx(jobs=3, store=store, fault_plan=FaultPlan.parse(["cell-kill@1"]))
+        with pytest.raises(WorkerError) as err:
+            GridExecutor(ctx).execute(cells)
+        assert err.value.phase == "pool"
+        assert cells[0].label() in str(err.value)
+        assert "exit code 23" in str(err.value)
+        # Jobs 2 and 3 were dispatched alongside the killer; nothing
+        # was dispatched after it died.
+        assert len(store) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_stalled_worker_trips_the_watchdog(self):
+        """Fail-fast runs the same watchdog as keep-going: a wedged
+        worker is killed at the deadline instead of hanging the grid."""
+        from repro.faults import CellRetryPolicy
+
+        ctx = make_ctx(
+            jobs=2,
+            retry=CellRetryPolicy(deadline=1.5, heartbeat_timeout=None),
+            fault_plan=FaultPlan.parse(["cell-stall@1:600"]),
+        )
+        start = time.monotonic()
+        with pytest.raises(WorkerError) as err:
+            GridExecutor(ctx).execute(all_cells())
+        assert time.monotonic() - start < 10.0
+        assert err.value.phase == "pool"
+        assert "deadline watchdog" in str(err.value)
+        assert multiprocessing.active_children() == []
 
     def test_worker_exception_wrapped(self):
         """A cell that raises inside the worker is reported with the
@@ -273,6 +315,32 @@ class TestManifestRecords:
         for record in records:
             assert record["manifest"]["schema"] == "repro.telemetry/manifest/v1"
             assert record["manifest"]["config"]["task"] == record["cell"]["task"]
+
+    def test_one_git_fork_per_process(self, tmp_path, monkeypatch):
+        """Every cell record carries a manifest with the git sha; asking
+        ``git`` for it is memoised per repository root, not per cell."""
+        import subprocess
+
+        from repro.telemetry import gitinfo
+
+        (tmp_path / ".git").mkdir()
+        monkeypatch.setattr(gitinfo, "__file__", str(tmp_path / "gitinfo.py"))
+        calls = []
+
+        def fake_run(cmd, **kwargs):
+            calls.append((cmd, kwargs["cwd"]))
+            return subprocess.CompletedProcess(cmd, 0, stdout="f00d\n", stderr="")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        gitinfo._sha_at.cache_clear()
+        try:
+            executor = GridExecutor(make_ctx(jobs=2))
+            executor.execute(all_cells())
+        finally:
+            gitinfo._sha_at.cache_clear()
+        assert len(executor.cell_records) == 12
+        assert {r["manifest"]["git_sha"] for r in executor.cell_records} == {"f00d"}
+        assert calls == [(["git", "rev-parse", "HEAD"], tmp_path)]
 
     def test_grid_manifest_assembles(self):
         from repro.telemetry import GRID_MANIFEST_SCHEMA, build_grid_manifest

@@ -281,11 +281,15 @@ class TestQuarantineSemantics:
         assert [f["failure"]["kind"] for f in manifest["failures"]] == ["crash"]
         assert {c["source"] for c in manifest["cells"]} == {"executed", "quarantined"}
 
-    def test_failfast_behaviour_preserved(self, monkeypatch):
+    def test_failfast_behaviour_preserved(self):
         """Without keep_going, a dead worker still aborts the grid."""
         cells = async_cells()
-        monkeypatch.setenv("REPRO_GRID_TEST_CRASH", f"{cells[0].label()}:13")
-        ctx = make_ctx(jobs=2, keep_going=False, retry=None)
+        ctx = make_ctx(
+            jobs=2,
+            keep_going=False,
+            retry=None,
+            fault_plan=FaultPlan.parse(["cell-kill@1"]),
+        )
         with pytest.raises(WorkerError) as err:
             GridExecutor(ctx).execute(cells)
         assert err.value.phase == "pool"

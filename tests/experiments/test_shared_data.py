@@ -147,12 +147,11 @@ class TestGridWithSharedData:
         assert shm_segments() == before
         assert active_registry() is None
 
-    def test_segments_unlinked_after_worker_failure(self, monkeypatch):
+    def test_segments_unlinked_after_worker_failure(self):
         before = shm_segments()
-        cell = GridCell("lr", "covtype", "cpu-par", "asynchronous")
-        monkeypatch.setenv("REPRO_GRID_TEST_CRASH", f"{cell.label()}:11")
+        ctx = make_ctx(jobs=2, fault_plan=FaultPlan.parse(["cell-kill@2"]))
         with pytest.raises(WorkerError):
-            GridExecutor(make_ctx(jobs=2)).execute(async_cells())
+            GridExecutor(ctx).execute(async_cells())
         # The failure retired the pool; the segments are reclaimed by
         # the explicit shutdown (or atexit), never leaked.
         assert warm_pool_info() is None
@@ -190,6 +189,43 @@ class TestWarmPool:
         assert keys.GRID_POOL_CREATED not in counters
         assert counters[keys.GRID_POOL_REUSED] == 1
         assert warm_pool_info()["generation"] == info["generation"]
+
+    def test_keep_going_runs_on_the_same_pool(self):
+        """Keep-going is a policy on the one runner, not a second one:
+        it creates, reuses and shares the warm pool like fail-fast."""
+        policy = CellRetryPolicy(base_delay=0.01)
+        first = GridExecutor(
+            make_ctx(jobs=2, keep_going=True, retry=policy, telemetry=Telemetry())
+        )
+        first.execute(async_cells())
+        assert first.ctx.telemetry.counters()[keys.GRID_POOL_CREATED] == 1
+        generation = warm_pool_info()["generation"]
+        first_pids = {r["worker_pid"] for r in first.cell_records}
+        assert len(first_pids) == 2
+
+        # A healed crash replaces the worker that died and nothing else.
+        second = GridExecutor(
+            make_ctx(
+                jobs=2,
+                keep_going=True,
+                retry=policy,
+                telemetry=Telemetry(),
+                fault_plan=FaultPlan.parse(["cell-kill@1:w1"]),
+            )
+        )
+        second.execute(async_cells())
+        assert not second.ctx.failures
+        counters = second.ctx.telemetry.counters()
+        assert keys.GRID_POOL_CREATED not in counters
+        assert keys.GRID_POOL_RETIRED not in counters
+        assert counters[keys.GRID_POOL_REUSED] == 1
+        assert warm_pool_info()["generation"] == generation
+        # One crash, one retry: every other cell ran exactly one attempt.
+        assert counters[keys.GRID_RETRY_CRASHES] == 1
+        assert counters[keys.GRID_RETRY_ATTEMPTS] == 1
+        pids = {r["worker_pid"] for r in second.cell_records}
+        assert len(pids) == 2  # the survivor and the replacement
+        assert len(pids & first_pids) == 1
 
     def test_job_count_change_rebuilds_pool(self):
         GridExecutor(make_ctx(jobs=2)).execute(async_cells())

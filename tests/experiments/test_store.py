@@ -49,6 +49,35 @@ class TestConfigKey:
         base = {"hw": {"cores": 28, "ghz": 2.0}}
         assert config_key(base) != config_key({"hw": {"cores": 28, "ghz": 2.6}})
 
+    def test_planned_job_keys_are_pinned(self):
+        """Golden keys: every resumable store on disk is addressed by
+        these hashes, so reshaping the executor's payload / config (or
+        a hardware-model default) must leave them byte-identical — or
+        say out loud that old stores no longer resume."""
+        from repro.experiments import ExperimentContext, GridCell, GridExecutor
+
+        ctx = ExperimentContext(
+            scale="tiny",
+            seed=7,
+            tolerance=0.05,
+            sync_max_epochs=150,
+            async_max_epochs=50,
+        )
+        async_job, sync_base = GridExecutor(ctx)._plan(
+            [
+                GridCell("lr", "covtype", "gpu", "asynchronous"),
+                GridCell("lr", "covtype", "cpu-par", "synchronous"),
+            ]
+        )
+        assert (async_job.kind, sync_base.kind) == ("async", "sync-base")
+        assert "hardware" in sync_base.config
+        assert config_key(async_job.config) == (
+            "0ba83fb443906c2d077b60dcf2814fdb8ec63e2bacc1bc1c36222aef56a2dd40"
+        )
+        assert config_key(sync_base.config) == (
+            "ddb878bdcba880b2b6372a7b0d5a54db2010592eead7536538b141e90b56cc23"
+        )
+
 
 class TestRoundTrip:
     def test_save_load(self, tmp_path):

@@ -10,7 +10,6 @@ from repro.datasets import load
 from repro.models import LinearSVM, LogisticRegression
 from repro.serving import (
     ArtifactSource,
-    LoadGenerator,
     ScoringEngine,
     ServedModel,
     ShmTrainHandle,
@@ -328,36 +327,6 @@ class _ExplodingSource:
 
     def close(self):
         pass
-
-
-class TestLoadGenerator:
-    def test_seeded_runs_and_reports(self):
-        eng = _engine()
-        pool = [
-            {"indices": [0], "values": [1.0]},
-            {"indices": [1, 4], "values": [0.5, 0.5]},
-            [0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-        with eng:
-            gen = LoadGenerator(eng, pool, seed=11, concurrency=3)
-            rep = gen.run(60, mode="batched")
-        assert rep.mode == "batched"
-        assert rep.requests > 0
-        assert rep.errors == 0
-        assert rep.requests_per_second > 0
-        assert rep.latency_p99_ms >= rep.latency_p50_ms >= 0
-        assert rep.model_versions_seen == (1,)
-        assert rep.to_dict()["concurrency"] == 3
-
-    def test_direct_mode_and_validation(self):
-        eng = _engine()
-        gen = LoadGenerator(eng, [[0.0] * N], seed=1, concurrency=2)
-        rep = gen.run(10, mode="direct")
-        assert rep.requests > 0
-        with pytest.raises(ConfigurationError):
-            gen.run(10, mode="weird")
-        with pytest.raises(ConfigurationError):
-            LoadGenerator(eng, [], seed=1)
 
 
 class TestRefresherValidation:

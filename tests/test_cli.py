@@ -31,6 +31,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--task", "cnn"])
 
+    def test_every_help_renders(self, capsys):
+        """Top-level ``--help`` lists every subcommand's help string, so
+        one unescaped ``%`` there breaks it; each subcommand's own
+        ``--help`` formats its arguments' strings."""
+        import argparse
+
+        parser = build_parser()
+        (subparsers,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for argv in [[], *([cmd] for cmd in subparsers.choices)]:
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args([*argv, "--help"])
+            assert exit_.value.code == 0, argv
+            assert "usage:" in capsys.readouterr().out
+
 
 class TestCommands:
     def test_table1(self, capsys):
