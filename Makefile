@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: test chaos chaos-grid chaos-ps chaos-ps-server serve-smoke shapes bench-pairs experiments grid examples probe all
+.PHONY: test chaos chaos-grid grid-resume chaos-ps chaos-ps-server serve-smoke shapes bench-pairs experiments grid examples probe all
 
 # Worker processes for the parallel experiment grid (make grid JOBS=8).
 JOBS ?= 4
@@ -36,6 +36,28 @@ chaos-grid:      ## degraded-mode grid run under injected cell faults
 	@# The drill kills and replaces workers; none of it may leak a segment.
 	@ls /dev/shm/psm_* >/dev/null 2>&1 && \
 		{ echo 'chaos-grid: leaked shared-memory segments'; ls /dev/shm/psm_*; exit 1; } || true
+
+GRID_RESUME_ARGS = --artifacts table2 table3 --tasks lr svm --datasets covtype w8a \
+	--scale tiny --tolerance 0.05 --jobs 2 --store /tmp/grid_resume/store
+
+grid-resume:     ## --jobs 2 grid into a store, then resume it: same tables, nothing re-executed
+	rm -rf /tmp/grid_resume && mkdir -p /tmp/grid_resume
+	REPRO_CACHE_DIR=/tmp/grid_resume/cache PYTHONPATH=src python -m repro experiments \
+		$(GRID_RESUME_ARGS) > /tmp/grid_resume/first.txt
+	REPRO_CACHE_DIR=/tmp/grid_resume/cache PYTHONPATH=src python -m repro experiments \
+		$(GRID_RESUME_ARGS) --resume \
+		--manifest-out /tmp/grid_resume/manifest.json > /tmp/grid_resume/resumed.txt
+	diff /tmp/grid_resume/first.txt /tmp/grid_resume/resumed.txt
+	@# An empty diff alone would also pass if the store were silently
+	@# re-keyed (every cell recomputed): the resumed run must execute none.
+	PYTHONPATH=src python -c "import json; \
+		c = json.load(open('/tmp/grid_resume/manifest.json'))['counters']; \
+		assert c.get('grid.cells_executed', 0) == 0, c; \
+		assert c.get('grid.cells_resumed', 0) > 0, c; \
+		print('grid-resume: identical tables |', int(c['grid.cells_resumed']), \
+			'cells resumed,', int(c.get('grid.cells_recosted', 0)), 'recosted, 0 executed')"
+	@ls /dev/shm/psm_* >/dev/null 2>&1 && \
+		{ echo 'grid-resume: leaked shared-memory segments'; ls /dev/shm/psm_*; exit 1; } || true
 
 chaos-ps:        ## node-kill/node-stall drill against the parameter-server backend
 	rm -rf /tmp/chaos_ps && mkdir -p /tmp/chaos_ps

@@ -24,7 +24,7 @@ Keys are ``(task, dataset, strategy, architecture)``; architecture
 ``"*"`` applies to all architectures (synchronous runs: the statistical
 efficiency — and hence the best step — is architecture-independent).
 Configurations absent from the table fall back to the (task, strategy)
-defaults in :mod:`repro.sgd.runner`.
+defaults in :mod:`repro.sgd.config`.
 """
 
 from __future__ import annotations

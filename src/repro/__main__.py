@@ -35,10 +35,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
+from . import experiments
 from .datasets import DATASET_NAMES
 from .models import TASK_NAMES
-from .sgd import ARCHITECTURES, BACKENDS, STRATEGIES
+from .faults import FaultPlan
+from .sgd import ARCHITECTURES, BACKENDS, STRATEGIES, RunConfig, run
+
+#: Artifact name -> the driver that regenerates it.
+_RUNNERS = {
+    "table1": experiments.run_table1,
+    "table2": experiments.run_table2,
+    "table3": experiments.run_table3,
+    "fig6": experiments.run_fig6,
+    "fig7": experiments.run_fig7,
+    "fig8": experiments.run_fig8,
+    "fig9": experiments.run_fig9,
+}
+_ARTIFACTS = tuple(_RUNNERS)
 
 
 def _add_context_args(p: argparse.ArgumentParser) -> None:
@@ -208,8 +223,6 @@ def _make_fault_plan(args: argparse.Namespace):
     specs = getattr(args, "inject_grid_fault", None)
     if not specs:
         return None
-    from .faults import FaultPlan
-
     return FaultPlan.parse(specs, seed=getattr(args, "seed", None))
 
 
@@ -241,18 +254,7 @@ def _make_context(args: argparse.Namespace):
 
 def _cmd_table(args: argparse.Namespace) -> int:
     ctx = _make_context(args)
-    from . import experiments
-
-    runner = {
-        "table1": experiments.run_table1,
-        "table2": experiments.run_table2,
-        "table3": experiments.run_table3,
-        "fig6": experiments.run_fig6,
-        "fig7": experiments.run_fig7,
-        "fig8": experiments.run_fig8,
-        "fig9": experiments.run_fig9,
-    }[args.command]
-    result = runner(ctx)
+    result = _RUNNERS[args.command](ctx)
     _attach_ps_manifests(result, args)
     print(result.render())
     _export_telemetry(args, ctx.telemetry)
@@ -277,24 +279,10 @@ def _attach_ps_manifests(result, args: argparse.Namespace) -> None:
             )
 
 
-_ARTIFACTS = ("table1", "table2", "table3", "fig6", "fig7", "fig8", "fig9")
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     ctx = _make_context(args)
-    from . import experiments
-
-    runners = {
-        "table1": experiments.run_table1,
-        "table2": experiments.run_table2,
-        "table3": experiments.run_table3,
-        "fig6": experiments.run_fig6,
-        "fig7": experiments.run_fig7,
-        "fig8": experiments.run_fig8,
-        "fig9": experiments.run_fig9,
-    }
     for name in args.artifacts:
-        result = runners[name](ctx)
+        result = _RUNNERS[name](ctx)
         if name == "table3":
             _attach_ps_manifests(result, args)
         print(result.render())
@@ -350,40 +338,19 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from .sgd import train
-
-    telemetry = _make_telemetry(args)
-    fault_plan = None
-    if args.inject_fault:
-        from .faults import FaultPlan
-
-        fault_plan = FaultPlan.parse(args.inject_fault, seed=args.seed)
-    result = train(
-        args.task,
-        args.dataset,
-        architecture=args.architecture,
-        strategy=args.strategy,
-        scale=args.scale,
-        seed=args.seed,
-        step_size=args.step,
-        max_epochs=args.epochs,
-        batch_size=args.batch_size,
+    # The train options' dests are RunConfig's field names.
+    names = {f.name for f in fields(RunConfig)}
+    config = RunConfig(
+        **{name: value for name, value in vars(args).items() if name in names},
         early_stop_tolerance=args.tolerance,
-        backend=args.backend,
-        threads=args.threads,
-        nodes=args.nodes,
-        shards=args.shards,
-        max_staleness=args.max_staleness,
-        checkpoint_dir=args.ps_checkpoint_dir,
-        checkpoint_every=args.ps_checkpoint_every,
-        checkpoint_seconds=args.ps_checkpoint_seconds,
-        server_process=args.ps_server_process,
-        epoch_timeout=args.epoch_timeout,
-        fault_plan=fault_plan,
-        max_restarts=args.max_restarts,
-        snapshot_out=args.snapshot_out,
-        telemetry=telemetry,
+        fault_plan=(
+            FaultPlan.parse(args.inject_fault, seed=args.seed)
+            if args.inject_fault
+            else None
+        ),
     )
+    telemetry = _make_telemetry(args)
+    result = run(config, telemetry=telemetry, snapshot_out=args.snapshot_out)
     if args.model_out:
         from .sgd import save_results
 
@@ -405,13 +372,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.manifest_out:
         from .telemetry import build_manifest
 
-        manifest = build_manifest(
-            result,
-            telemetry,
-            scale=args.scale,
-            seed=args.seed,
-            max_epochs=args.epochs,
-        )
+        manifest = build_manifest(result, telemetry, config)
         path = manifest.write(args.manifest_out)
         print(f"manifest written to {path}", file=sys.stderr)
     return 0
@@ -599,8 +560,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", choices=DATASET_NAMES, default="w8a")
     p.add_argument("--architecture", choices=ARCHITECTURES, default="cpu-par")
     p.add_argument("--strategy", choices=STRATEGIES, default="asynchronous")
-    p.add_argument("--step", type=float, default=None, help="step size (default: tuned)")
-    p.add_argument("--epochs", type=int, default=None, help="max epochs")
+    p.add_argument(
+        "--step",
+        dest="step_size",
+        type=float,
+        default=None,
+        metavar="STEP",
+        help="step size (default: tuned)",
+    )
+    p.add_argument(
+        "--epochs",
+        dest="max_epochs",
+        type=int,
+        default=None,
+        metavar="EPOCHS",
+        help="max epochs",
+    )
     p.add_argument(
         "--backend",
         choices=BACKENDS,
@@ -663,6 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ps-checkpoint-dir",
+        dest="checkpoint_dir",
         default=None,
         metavar="DIR",
         help="--backend ps: directory for the server's versioned shard "
@@ -671,6 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ps-checkpoint-every",
+        dest="checkpoint_every",
         type=int,
         default=None,
         metavar="N",
@@ -679,6 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ps-checkpoint-seconds",
+        dest="checkpoint_seconds",
         type=float,
         default=None,
         metavar="SEC",
@@ -687,6 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ps-server-process",
+        dest="server_process",
         action="store_true",
         help="--backend ps: run the shard server in its own supervised "
         "process (the failover-capable topology; forced on when the "

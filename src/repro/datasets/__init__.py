@@ -8,6 +8,7 @@ from .registry import (
     ScaleSpec,
     clear_cache,
     load,
+    load_for,
     load_mlp,
     scaled_profile,
     table1,
@@ -35,6 +36,7 @@ __all__ = [
     "ScaleSpec",
     "SCALES",
     "load",
+    "load_for",
     "load_mlp",
     "scaled_profile",
     "clear_cache",

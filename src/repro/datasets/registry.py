@@ -29,6 +29,7 @@ __all__ = [
     "ScaleSpec",
     "SCALES",
     "load",
+    "load_for",
     "load_mlp",
     "clear_cache",
     "cache_put",
@@ -80,6 +81,14 @@ def load_mlp(name: str, scale: str = "small", seed: int | None = None) -> Datase
     if key not in _MLP_CACHE:
         _MLP_CACHE[key] = mlp_dataset(load(name, scale, seed))
     return _MLP_CACHE[key]
+
+
+def load_for(
+    task: str, name: str, scale: str = "small", seed: int | None = None
+) -> Dataset:
+    """The variant of *name* that *task* trains on: :func:`load_mlp`
+    for the MLP, :func:`load` otherwise."""
+    return (load_mlp if task == "mlp" else load)(name, scale, seed)
 
 
 def clear_cache() -> None:

@@ -27,9 +27,11 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 from typing import TYPE_CHECKING
 
-from ..datasets import DATASET_NAMES
+from ..datasets import DATASET_NAMES, load_for
 from ..hardware import CpuModel, GpuModel
-from ..sgd.runner import TrainResult, train
+from ..models import make_model
+from ..sgd.config import RunConfig, default_step_size
+from ..sgd.runner import TrainResult, run, working_set_bytes
 from ..telemetry.session import AnyTelemetry, ensure_telemetry
 from ..utils.errors import CellQuarantinedError, ConfigurationError
 from .tuned import lookup_step
@@ -61,8 +63,6 @@ class ExperimentContext:
     async_max_epochs: int = 300
     datasets: tuple[str, ...] = DATASET_NAMES
     tasks: tuple[str, ...] = ("lr", "svm", "mlp")
-    cpu: CpuModel = field(default_factory=CpuModel)
-    gpu: GpuModel = field(default_factory=GpuModel)
     step_overrides: dict[tuple[str, str, str, str], float] = field(
         default_factory=dict
     )
@@ -107,6 +107,10 @@ class ExperimentContext:
     #: Per-cell provenance records accumulated by every :meth:`prefetch`
     #: (input of :func:`repro.telemetry.build_grid_manifest`).
     grid_records: list[dict] = field(default_factory=list, repr=False)
+    #: The machine models re-costing synchronous base runs: the default
+    #: ones :func:`repro.sgd.runner.run` prices every run on.
+    cpu: CpuModel = field(default_factory=CpuModel, init=False)
+    gpu: GpuModel = field(default_factory=GpuModel, init=False)
     _cache: dict[tuple, TrainResult] = field(default_factory=dict, repr=False)
     _ws_cache: dict[tuple, float] = field(default_factory=dict, repr=False)
 
@@ -123,9 +127,29 @@ class ExperimentContext:
         tuned = lookup_step(task, dataset, strategy, architecture)
         if tuned is not None:
             return tuned
-        from ..sgd.runner import default_step_size
-
         return default_step_size(task, strategy)
+
+    def config_for(
+        self, task: str, dataset: str, architecture: str, strategy: str
+    ) -> RunConfig:
+        """The run one cell describes: the one place a context resolves a
+        step size and an epoch budget.  Synchronous statistical efficiency
+        is architecture-independent, so every synchronous cell carries the
+        step of the ``cpu-seq`` base run it is re-costed from."""
+        sync = strategy == "synchronous"
+        return RunConfig(
+            task,
+            dataset,
+            architecture,
+            strategy,
+            scale=self.scale,
+            seed=self.seed,
+            step_size=self.step_for(
+                task, dataset, strategy, "cpu-seq" if sync else architecture
+            ),
+            max_epochs=self.sync_max_epochs if sync else self.async_max_epochs,
+            early_stop_tolerance=self.tolerance,
+        )
 
     def failure_for(
         self, task: str, dataset: str, architecture: str, strategy: str
@@ -179,29 +203,22 @@ class ExperimentContext:
                 )
         if strategy == "synchronous":
             return self._run_sync(task, dataset, architecture)
-        key = (task, dataset, architecture, strategy)
-        if key not in self._cache:
-            tel = ensure_telemetry(self.telemetry)
-            with tel.span(
-                "experiment.run",
-                task=task,
-                dataset=dataset,
-                architecture=architecture,
-                strategy=strategy,
-            ):
-                self._cache[key] = train(
-                    task,
-                    dataset,
-                    architecture=architecture,
-                    strategy=strategy,
-                    scale=self.scale,
-                    seed=self.seed,
-                    step_size=self.step_for(task, dataset, strategy, architecture),
-                    max_epochs=self.async_max_epochs,
-                    early_stop_tolerance=self.tolerance,
-                    telemetry=self.telemetry,
-                )
-        return self._cache[key]
+        if cell_key not in self._cache:
+            self._cache[cell_key] = self._train(cell_key)
+        return self._cache[cell_key]
+
+    def _train(self, key: tuple[str, str, str, str]) -> TrainResult:
+        """Train one cell's configuration under an ``experiment.run`` span."""
+        task, dataset, architecture, strategy = key
+        tel = ensure_telemetry(self.telemetry)
+        with tel.span(
+            "experiment.run",
+            task=task,
+            dataset=dataset,
+            architecture=architecture,
+            strategy=strategy,
+        ):
+            return run(self.config_for(*key), telemetry=self.telemetry)
 
     def _run_sync(self, task: str, dataset: str, architecture: str) -> TrainResult:
         """One optimisation run, re-costed per architecture."""
@@ -210,28 +227,7 @@ class ExperimentContext:
             return self._cache[key]
         base_key = (task, dataset, "cpu-seq", "synchronous")
         if base_key not in self._cache:
-            tel = ensure_telemetry(self.telemetry)
-            with tel.span(
-                "experiment.run",
-                task=task,
-                dataset=dataset,
-                architecture="cpu-seq",
-                strategy="synchronous",
-            ):
-                self._cache[base_key] = train(
-                    task,
-                    dataset,
-                    architecture="cpu-seq",
-                    strategy="synchronous",
-                    scale=self.scale,
-                    seed=self.seed,
-                    step_size=self.step_for(task, dataset, "synchronous"),
-                    max_epochs=self.sync_max_epochs,
-                    early_stop_tolerance=self.tolerance,
-                    cpu_model=self.cpu,
-                    gpu_model=self.gpu,
-                    telemetry=self.telemetry,
-                )
+            self._cache[base_key] = self._train(base_key)
         base = self._cache[base_key]
         if architecture == "cpu-seq":
             return base
@@ -255,13 +251,7 @@ class ExperimentContext:
     def _ws(self, task: str, dataset: str) -> float:
         key = (task, dataset)
         if key not in self._ws_cache:
-            from ..datasets import load, load_mlp
-            from ..models import make_model
-            from ..sgd.runner import working_set_bytes
-
-            ds = load_mlp(dataset, self.scale, self.seed) if task == "mlp" else load(
-                dataset, self.scale, self.seed
-            )
+            ds = load_for(task, dataset, self.scale, self.seed)
             self._ws_cache[key] = working_set_bytes(ds, make_model(task, ds), task)
         return self._ws_cache[key]
 

@@ -14,10 +14,11 @@ serial path:
   per architecture through :meth:`ExperimentContext._run_sync` — which
   also preserves the serial path's curve-object sharing between the
   re-costed results.
-* **Bit-identical results.**  Workers run the same :func:`repro.train`
-  with the same derived seeds the serial loop would use; nothing about
-  placement changes the numbers, which the test suite asserts by
-  comparing ``jobs=4`` against ``jobs=1`` cell by cell.
+* **Bit-identical results.**  Workers run the same
+  :meth:`ExperimentContext.config_for` runs with the same derived seeds
+  the serial loop would use; nothing about placement changes the
+  numbers, which the test suite asserts by comparing ``jobs=4`` against
+  ``jobs=1`` cell by cell.
 * **Deterministic telemetry merge.**  Each worker carries its own
   :class:`~repro.telemetry.Telemetry`; the parent folds the snapshots
   back in *submission order* (not completion order), so counter totals
@@ -73,18 +74,24 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing.connection import wait as _conn_wait
 from typing import TYPE_CHECKING, Any
 
+from ..datasets import load_for
 from ..faults.recovery import CellRetryPolicy
-from ..sgd.reference import cached_reference, reference_loss, seed_reference_cache
-from ..sgd.runner import TrainResult, train
+from ..sgd.config import RunConfig
+from ..sgd.reference import (
+    cached_reference,
+    reference_loss,
+    reference_problem,
+    seed_reference_cache,
+)
+from ..sgd.runner import ARCHITECTURES, STRATEGIES, TrainResult, run
 from ..telemetry import keys
 from ..telemetry.manifest import build_manifest
 from ..telemetry.session import Telemetry, ensure_telemetry
 from ..utils.errors import ConfigurationError, DivergenceError, WorkerError
-from ..utils.rng import DEFAULT_SEED, derive_rng
 from . import pool as grid_pool
 from . import shared_data
 from .resilience import CellFailure
@@ -93,9 +100,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .common import ExperimentContext
 
 __all__ = ["GridCell", "GridExecutor", "ARCHITECTURES", "STRATEGIES"]
-
-ARCHITECTURES = ("cpu-seq", "cpu-par", "gpu")
-STRATEGIES = ("synchronous", "asynchronous")
 
 #: Exit code of a worker killed by an injected ``cell-kill`` fault
 #: (distinctive, so post-mortems can tell injected deaths from real
@@ -106,6 +110,20 @@ _KILL_EXIT_CODE = 23
 #: long enough that any sane watchdog fires first.
 _DEFAULT_STALL_SECONDS = 3600.0
 
+#: The :class:`RunConfig` fields that, with the job kind, the tolerance
+#: and a sync base's hardware fingerprint, key a stored cell.  Fixed:
+#: changing them silently invalidates every store on disk.
+_STORE_KEY_FIELDS = (
+    "task",
+    "dataset",
+    "architecture",
+    "strategy",
+    "scale",
+    "seed",
+    "step_size",
+    "max_epochs",
+)
+
 
 @dataclass(frozen=True)
 class GridCell:
@@ -115,12 +133,6 @@ class GridCell:
     dataset: str
     architecture: str
     strategy: str
-
-    def __post_init__(self) -> None:
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigurationError(f"unknown architecture {self.architecture!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(f"unknown strategy {self.strategy!r}")
 
     @property
     def key(self) -> tuple[str, str, str, str]:
@@ -137,8 +149,11 @@ class _Job:
 
     kind: str  # "sync-base" | "async"
     cell: GridCell  # the cell the worker actually trains
+    #: The run's ``"config"``, the ``"telemetry"`` flag and the shipped
+    #: ``"reference"`` optimum; a dispatch adds any grid fault.
     payload: dict[str, Any]
-    config: dict[str, Any]  # store key material
+    #: Sync bases: the machine models pricing the result (store key).
+    hardware: dict[str, Any] | None = None
     #: Requested cells satisfied by this job (> 1 only for sync bases).
     covers: list[GridCell] = field(default_factory=list)
     result: TrainResult | None = None
@@ -147,6 +162,17 @@ class _Job:
     #: Set instead of ``result`` when keep-going mode quarantined the
     #: cell (``source`` becomes ``"quarantined"``).
     failure: CellFailure | None = None
+
+    @property
+    def config(self) -> dict[str, Any]:
+        """The result-store key material of this job."""
+        run_config: RunConfig = self.payload["config"]
+        key = {name: getattr(run_config, name) for name in _STORE_KEY_FIELDS}
+        key["tolerance"] = run_config.early_stop_tolerance
+        key["kind"] = self.kind
+        if self.hardware is not None:
+            key["hardware"] = self.hardware
+        return key
 
 
 def _apply_grid_fault(payload: dict[str, Any]) -> str | None:
@@ -181,21 +207,8 @@ def _execute_job(payload: dict[str, Any]) -> dict[str, Any]:
         # The parent already solved (or loaded) this cell's reference
         # optimum; seeding the cache keeps the solve out of the worker.
         seed_reference_cache(references)
-    tel = Telemetry() if payload.get("telemetry") else None
-    result = train(
-        payload["task"],
-        payload["dataset"],
-        architecture=payload["architecture"],
-        strategy=payload["strategy"],
-        scale=payload["scale"],
-        seed=payload["seed"],
-        step_size=payload["step_size"],
-        max_epochs=payload["max_epochs"],
-        early_stop_tolerance=payload["tolerance"],
-        cpu_model=payload.get("cpu_model"),
-        gpu_model=payload.get("gpu_model"),
-        telemetry=tel,
-    )
+    tel = Telemetry() if payload["telemetry"] else None
+    result = run(payload["config"], telemetry=tel)
     return {
         "result": result,
         "telemetry": tel.snapshot_for_merge() if tel is not None else None,
@@ -259,7 +272,8 @@ class _CellState:
     attempts: int = 0
     resubmissions: int = 0  # backoff exponent
     divergence_retries: int = 0
-    step_size: float = 0.0  # the job's own, halved per divergence retry
+    #: The job's run, its step halved per divergence retry.
+    config: RunConfig = field(init=False)
     errors: list[dict[str, Any]] = field(default_factory=list)
     pids: list[int | None] = field(default_factory=list)
     first_dispatch: float = 0.0  # monotonic; set by attempt 1
@@ -268,7 +282,7 @@ class _CellState:
     snapshot: dict[str, Any] | None = None  # telemetry of the attempt that landed
 
     def __post_init__(self) -> None:
-        self.step_size = self.job.payload["step_size"]
+        self.config = self.job.payload["config"]
 
 
 def _hw_fingerprint(ctx: "ExperimentContext") -> dict[str, Any]:
@@ -303,48 +317,19 @@ class GridExecutor:
 
     # -- planning -----------------------------------------------------
 
-    def _payload(self, cell: GridCell, kind: str) -> dict[str, Any]:
+    def _job(self, kind: str, cell: GridCell, covered: GridCell) -> _Job:
+        """The job training *cell*, first requested as *covered*."""
         ctx = self.ctx
-        sync = kind == "sync-base"
-        payload: dict[str, Any] = {
-            "kind": kind,
-            "task": cell.task,
-            "dataset": cell.dataset,
-            "architecture": cell.architecture,
-            "strategy": cell.strategy,
-            "scale": ctx.scale,
-            "seed": ctx.seed,
-            "step_size": ctx.step_for(
-                cell.task, cell.dataset, cell.strategy, cell.architecture
-            ),
-            "max_epochs": ctx.sync_max_epochs if sync else ctx.async_max_epochs,
-            "tolerance": ctx.tolerance,
-            "telemetry": ensure_telemetry(ctx.telemetry).enabled,
-        }
-        if sync:
-            payload["cpu_model"] = ctx.cpu
-            payload["gpu_model"] = ctx.gpu
-        return payload
-
-    def _config(self, payload: dict[str, Any]) -> dict[str, Any]:
-        config = {
-            k: v
-            for k, v in payload.items()
-            if k
-            not in (
-                "telemetry",
-                "cpu_model",
-                "gpu_model",
-                "grid_fault",
-                "grid_attempt",
-                # The pre-solved reference optimum is derived state, not
-                # configuration: identical for every run of the cell.
-                "reference",
-            )
-        }
-        if payload["kind"] == "sync-base":
-            config["hardware"] = _hw_fingerprint(self.ctx)
-        return config
+        return _Job(
+            kind=kind,
+            cell=cell,
+            payload={
+                "config": ctx.config_for(*cell.key),
+                "telemetry": ensure_telemetry(ctx.telemetry).enabled,
+            },
+            hardware=_hw_fingerprint(ctx) if kind == "sync-base" else None,
+            covers=[covered],
+        )
 
     def _plan(self, cells: list[GridCell]) -> list[_Job]:
         """Map requested cells onto the minimal set of worker jobs.
@@ -373,27 +358,11 @@ class GridExecutor:
                     # merge step re-costs straight from the cache.
                     continue
                 base_cell = GridCell(cell.task, cell.dataset, "cpu-seq", "synchronous")
-                payload = self._payload(base_cell, "sync-base")
-                job = _Job(
-                    kind="sync-base",
-                    cell=base_cell,
-                    payload=payload,
-                    config=self._config(payload),
-                    covers=[cell],
-                )
+                job = self._job("sync-base", base_cell, cell)
                 sync_bases[group] = job
                 jobs.append(job)
             else:
-                payload = self._payload(cell, "async")
-                jobs.append(
-                    _Job(
-                        kind="async",
-                        cell=cell,
-                        payload=payload,
-                        config=self._config(payload),
-                        covers=[cell],
-                    )
-                )
+                jobs.append(self._job("async", cell, cell))
         return jobs
 
     # -- execution ----------------------------------------------------
@@ -427,11 +396,11 @@ class GridExecutor:
 
     def _dataset_specs(self, to_run: list[_Job]) -> tuple[shared_data.DatasetSpec, ...]:
         """Unique (dataset, scale, seed, mlp?) specs the jobs will load."""
-        ctx = self.ctx
         specs: list[shared_data.DatasetSpec] = []
         seen: set[shared_data.DatasetSpec] = set()
         for job in to_run:
-            spec = (job.cell.dataset, ctx.scale, ctx.seed, job.cell.task == "mlp")
+            config = job.payload["config"]
+            spec = (config.dataset, config.scale, config.seed, config.task == "mlp")
             if spec not in seen:
                 seen.add(spec)
                 specs.append(spec)
@@ -452,7 +421,7 @@ class GridExecutor:
     def _prepare_references(self, to_run: list[_Job], tel) -> None:
         """Resolve each job's reference optimum once per (task, dataset).
 
-        A serial grid solves the reference lazily inside :func:`train`
+        A serial grid solves the reference lazily inside :func:`run`
         and shares it through the in-process cache; a fan-out without
         this step would instead solve it once per *worker*.  Solving (or
         loading) it in the parent and shipping the value in the payload
@@ -464,44 +433,36 @@ class GridExecutor:
         for job in to_run:
             pair = (job.cell.task, job.cell.dataset)
             if pair not in resolved:
-                resolved[pair] = self._resolve_reference(*pair, tel=tel)
+                config = job.payload["config"]
+                resolved[pair] = self._resolve_reference(config, tel=tel)
             entry = resolved[pair]
             if entry is not None:
                 job.payload["reference"] = {entry[0]: entry[1]}
 
     def _resolve_reference(
-        self, task: str, dataset: str, *, tel
+        self, config: RunConfig, *, tel
     ) -> tuple[str, float] | None:
         """One cell family's reference optimum: cache -> store -> solve.
 
-        Mirrors :func:`repro.train`'s key derivation exactly, so the
-        shipped value is the one the worker would have computed.  Load
-        or solve failures return ``None`` — the owning cell then fails
-        (or succeeds) in its worker exactly as it would have without
-        this optimisation.
+        The key comes from :func:`~repro.sgd.reference.reference_problem`,
+        as in the worker.  Load or solve failures return ``None`` — the
+        owning cell then fails (or succeeds) in its worker exactly as it
+        would have without this optimisation.
         """
-        from ..datasets import load, load_mlp
-        from ..models import make_model
-
         ctx = self.ctx
         try:
-            ds = (
-                load_mlp(dataset, ctx.scale, ctx.seed)
-                if task == "mlp"
-                else load(dataset, ctx.scale, ctx.seed)
-            )
+            ds = load_for(config.task, config.dataset, config.scale, config.seed)
         except Exception:
             return None
-        ref_seed = ctx.seed if ctx.seed is not None else DEFAULT_SEED
-        key = f"{task}/{dataset}/{ds.n_examples}x{ds.n_features}/seed{ref_seed}"
+        model, init, key = reference_problem(
+            config.task, config.dataset, ds, config.seed
+        )
         value = cached_reference(key)
         if value is None and ctx.store is not None:
             value = ctx.store.load_reference(key)
             if value is not None:
                 seed_reference_cache({key: value})
         if value is None:
-            model = make_model(task, ds)
-            init = model.init_params(derive_rng(ctx.seed, f"init/{task}/{dataset}"))
             try:
                 value = reference_loss(model, ds.X, ds.y, init, key=key)
             except Exception:
@@ -601,7 +562,7 @@ class GridExecutor:
 
         def _dispatch(state: _CellState) -> None:
             state.attempts += 1
-            payload = {**state.job.payload, "step_size": state.step_size}
+            payload = {**state.job.payload, "config": state.config}
             if state.fault is not None:
                 payload["grid_fault"] = state.fault
                 payload["grid_attempt"] = state.attempts
@@ -669,7 +630,8 @@ class GridExecutor:
             budget -= 1
             if kind == "divergence":
                 state.divergence_retries += 1
-                state.step_size *= policy.step_backoff
+                step_size = state.config.step_size * policy.step_backoff
+                state.config = replace(state.config, step_size=step_size)
             delay = policy.retry_delay(state.resubmissions)
             state.resubmissions += 1
             tel.count(keys.GRID_RETRY_ATTEMPTS)
@@ -711,21 +673,19 @@ class GridExecutor:
             if ctx.keep_going and not _result_is_finite(result):
                 err = DivergenceError(
                     f"non-finite loss from grid cell {job.cell.label()} "
-                    f"at step size {state.step_size:g}",
+                    f"at step size {state.config.step_size:g}",
                     cell=job.cell.label(),
-                    step_size=state.step_size,
+                    step_size=state.config.step_size,
                     attempt=state.attempts,
                 )
                 _failed(
                     state, "divergence", {"type": "DivergenceError", **err.describe()}
                 )
                 return
-            if state.divergence_retries:
-                # The divergence sentinel changed the step: the store
-                # key must describe the run that actually produced this
-                # result.
-                job.payload = {**job.payload, "step_size": state.step_size}
-                job.config = self._config(job.payload)
+            # The divergence sentinel may have changed the step: the
+            # store key must describe the run that actually produced
+            # this result.
+            job.payload["config"] = state.config
             job.result = result
             job.worker_pid = msg["pid"]
             self._persist(job)
@@ -816,16 +776,12 @@ class GridExecutor:
     def _record(self, cell: GridCell, source: str, pid: int | None) -> None:
         ctx = self.ctx
         result = ctx._cache[cell.key]
-        manifest = build_manifest(
-            result,
-            None,
-            scale=ctx.scale,
-            seed=ctx.seed,
-            max_epochs=ctx.sync_max_epochs
-            if cell.strategy == "synchronous"
-            else ctx.async_max_epochs,
-            extra_config={"tolerance": ctx.tolerance},
-        )
+        config = ctx.config_for(*cell.key)
+        if result.step_size != config.step_size:
+            # Healed by the divergence sentinel: record the step the
+            # result was actually produced at.
+            config = replace(config, step_size=result.step_size)
+        manifest = build_manifest(result, None, config)
         record: dict[str, Any] = {
             "cell": asdict(cell),
             "source": source,

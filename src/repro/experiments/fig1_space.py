@@ -13,9 +13,9 @@ over a densified sparse dataset, ...) get numbers too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..sgd.runner import train
+from ..sgd.runner import run
 from ..utils.tables import render_table
 from .common import ExperimentContext
 
@@ -124,31 +124,20 @@ def run_fig1_space(
     for strategy in ("synchronous", "asynchronous"):
         for architecture in ("cpu-par", "gpu"):
             for representation in ("auto", flipped):
-                run = train(
-                    task,
-                    dataset,
-                    architecture=architecture,
-                    strategy=strategy,
-                    scale=ctx.scale,
-                    seed=ctx.seed,
-                    step_size=ctx.step_for(task, dataset, strategy, architecture),
-                    max_epochs=(
-                        ctx.sync_max_epochs
-                        if strategy == "synchronous"
-                        else ctx.async_max_epochs
-                    ),
-                    early_stop_tolerance=ctx.tolerance,
+                config = replace(
+                    ctx.config_for(task, dataset, architecture, strategy),
                     representation=representation,
                 )
-                epochs = run.epochs_to(ctx.tolerance)
+                trained = run(config)
+                epochs = trained.epochs_to(ctx.tolerance)
                 result.cells.append(
                     Fig1Cell(
                         strategy=strategy,
                         architecture=architecture,
                         representation=representation,
-                        time_per_iter=run.time_per_iter,
+                        time_per_iter=trained.time_per_iter,
                         epochs=math.inf if epochs is None else float(epochs),
-                        time_to_convergence=run.time_to(ctx.tolerance),
+                        time_to_convergence=trained.time_to(ctx.tolerance),
                     )
                 )
     return result

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..datasets import load, load_mlp
+from ..datasets import load_for
 from ..frameworks import BIDMACH_LIKE, OURS, TENSORFLOW_LIKE, FrameworkExecutor
 from ..hardware import AsyncWorkload
 from ..models import make_model
@@ -115,9 +115,7 @@ def _sync_speedups(
     if run is None:
         return None
     assert run.epoch_trace is not None
-    ds = load_mlp(dataset, ctx.scale, ctx.seed) if task == "mlp" else load(
-        dataset, ctx.scale, ctx.seed
-    )
+    ds = load_for(task, dataset, ctx.scale, ctx.seed)
     ws = working_set_bytes(ds, make_model(task, ds), task)
     out: dict[str, float] = {}
     fw_profile = TENSORFLOW_LIKE if task == "mlp" else BIDMACH_LIKE
@@ -129,9 +127,7 @@ def _sync_speedups(
 
 def _async_speedup(ctx: ExperimentContext, task: str, dataset: str) -> float:
     """ours-async: gpu/cpu-par epoch-time ratio from the workload model."""
-    ds = load_mlp(dataset, ctx.scale, ctx.seed) if task == "mlp" else load(
-        dataset, ctx.scale, ctx.seed
-    )
+    ds = load_for(task, dataset, ctx.scale, ctx.seed)
     model = make_model(task, ds)
     if task == "mlp":
         workload = AsyncWorkload.for_batched(ds, model, batch_size=512)

@@ -2,7 +2,17 @@
 
 from .asynchronous import AsyncResult, train_asynchronous
 from .averaging import AveragingResult, AveragingSchedule, train_model_averaging
-from .config import STEP_GRID, TOLERANCES, SGDConfig
+from .config import (
+    ARCHITECTURES,
+    BACKENDS,
+    DEFAULT_STEP_SIZES,
+    STEP_GRID,
+    STRATEGIES,
+    TOLERANCES,
+    RunConfig,
+    SGDConfig,
+    default_step_size,
+)
 from .convergence import LossCurve, tolerance_threshold
 from .gridsearch import GridPoint, GridSearchResult, grid_search
 from .lowprec import (
@@ -16,13 +26,9 @@ from .lowprec import (
 from .reference import clear_reference_cache, reference_loss
 from .serialize import load_results, result_from_dict, result_to_dict, save_results
 from .runner import (
-    ARCHITECTURES,
-    BACKENDS,
-    DEFAULT_STEP_SIZES,
-    STRATEGIES,
     TrainResult,
-    default_step_size,
     full_scale_factor,
+    run,
     train,
     working_set_bytes,
 )
@@ -30,6 +36,7 @@ from .synchronous import SyncResult, train_minibatch_synchronous, train_synchron
 
 __all__ = [
     "SGDConfig",
+    "RunConfig",
     "TOLERANCES",
     "STEP_GRID",
     "LossCurve",
@@ -46,6 +53,7 @@ __all__ = [
     "clear_reference_cache",
     "TrainResult",
     "train",
+    "run",
     "default_step_size",
     "DEFAULT_STEP_SIZES",
     "ARCHITECTURES",

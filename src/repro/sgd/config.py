@@ -3,16 +3,69 @@
 The names follow the paper's hyper-parameter inventory (Algorithm 1):
 step size alpha, batch size B, number of epochs t, plus the convergence
 tolerances of the evaluation protocol (Section IV-A).
+
+:class:`RunConfig` is the one description of a run: ``train``'s keywords,
+the CLI's ``train`` options, a grid job's payload and store key and a run
+manifest's ``config`` are all read off it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any
 
+from ..datasets.synthetic import Dataset
+from ..faults import FaultPlan
 from ..utils.errors import ConfigurationError
 from ..utils.rng import DEFAULT_SEED
 
-__all__ = ["SGDConfig", "TOLERANCES", "STEP_GRID"]
+__all__ = [
+    "SGDConfig",
+    "RunConfig",
+    "TOLERANCES",
+    "STEP_GRID",
+    "ARCHITECTURES",
+    "STRATEGIES",
+    "BACKENDS",
+    "DEFAULT_STEP_SIZES",
+    "default_step_size",
+]
+
+ARCHITECTURES: tuple[str, ...] = ("cpu-seq", "cpu-par", "gpu")
+STRATEGIES: tuple[str, ...] = ("synchronous", "asynchronous")
+
+#: Execution backends for asynchronous lr/svm configurations:
+#: ``"simulated"`` runs the deterministic asynchrony simulator and prices
+#: hardware time with the analytical machine models; ``"shm"`` runs real
+#: lock-free worker processes over a shared-memory model and *measures*
+#: wall-clock time on the host; ``"ps"`` runs worker processes against a
+#: sharded parameter server over local TCP (:mod:`repro.distributed`)
+#: and measures the distributed asynchronous regime.
+BACKENDS: tuple[str, ...] = ("simulated", "shm", "ps")
+
+#: Step sizes selected by the grid-search protocol (Section IV-A) at the
+#: default benchmark scale; :func:`repro.sgd.gridsearch.grid_search`
+#: regenerates them.  Keys: (task, strategy).  Values may be refined per
+#: dataset via the nested dict.
+DEFAULT_STEP_SIZES: dict[tuple[str, str], float] = {
+    ("lr", "synchronous"): 10.0,
+    ("svm", "synchronous"): 1.0,
+    ("mlp", "synchronous"): 1.0,
+    ("lr", "asynchronous"): 0.1,
+    ("svm", "asynchronous"): 0.01,
+    ("mlp", "asynchronous"): 0.1,
+}
+
+
+def default_step_size(task: str, strategy: str) -> float:
+    """The tuned default step size for a (task, strategy) pair."""
+    try:
+        return DEFAULT_STEP_SIZES[(task, strategy)]
+    except KeyError:
+        raise ConfigurationError(
+            f"no default step size for task={task!r}, strategy={strategy!r}"
+        ) from None
+
 
 #: Convergence tolerances of the paper's protocol: within 10%, 5%, 2%
 #: and 1% of the optimal loss.
@@ -74,3 +127,247 @@ class SGDConfig:
             raise ConfigurationError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.divergence_factor <= 1:
             raise ConfigurationError("divergence_factor must exceed 1")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One configuration of the paper's exploratory space: the fields are
+    :func:`repro.train`'s keywords.  Construction validates them and fills
+    the defaults (step size, epoch budget, batch size, worker or node
+    count), so every consumer sees the values the run uses.  ``seed``
+    stays as given (``None`` too): the dataset cache and the shared-memory
+    registry are keyed on ``(name, scale, seed)`` as passed.
+
+    Attributes
+    ----------
+    task:
+        ``"lr"``, ``"svm"`` or ``"mlp"``.
+    dataset:
+        A paper dataset name (generated at *scale*) or a prebuilt
+        :class:`~repro.datasets.synthetic.Dataset` (MLP callers must
+        pass the feature-grouped variant).
+    architecture:
+        ``"cpu-seq"``, ``"cpu-par"`` or ``"gpu"``.
+    strategy:
+        ``"synchronous"`` (blocking batch gradient descent) or
+        ``"asynchronous"`` (Hogwild for lr/svm, mini-batch/Hogbatch for
+        mlp).
+    step_size:
+        Learning rate; defaults to the tuned value for (task, strategy).
+    max_epochs:
+        Epoch budget; defaults to 400 synchronous / 150 asynchronous.
+    batch_size:
+        Mini-batch rows per update.  ``None`` (the default) resolves
+        per backend: 512 for the simulated MLP Hogbatch (the paper's
+        B) and 1 (pure Hogwild) for the shm backend.  With
+        ``backend="shm"`` an explicit value > 1 runs *measured*
+        Hogbatch: one vectorised lock-free work item per batch.
+    early_stop_tolerance:
+        Stop once the loss is within this tolerance of the optimum
+        (``None`` disables; the curve then runs to max_epochs).
+    representation:
+        The paper's third exploratory axis, exposed as a free choice:
+        ``"auto"`` keeps the dataset's natural format (CSR for the
+        sparse profiles, dense for covtype); ``"dense"`` densifies a
+        sparse dataset; ``"sparse"`` compresses a dense one.  This
+        opens the light circles of the paper's Fig. 1 — e.g. Hogwild
+        over a *dense* representation of rcv1, where every update
+        writes all d coordinates and the coherence storm appears on an
+        otherwise sparse problem.  lr/svm only (the MLP pipeline is
+        dense by construction).
+    backend:
+        One of :data:`BACKENDS`.  The measured ones (``"shm"``:
+        :func:`repro.parallel.train_shm`, ``"ps"``:
+        :func:`repro.distributed.train_ps`) report wall-clock seconds
+        per epoch in ``time_per_iter`` plus a ``measured`` record, and
+        apply to asynchronous lr/svm configurations.
+    threads:
+        Worker processes for the shm backend (default: up to 4,
+        bounded by the host's cores).  shm only.
+    track_conflicts:
+        shm backend: measure racy coordinate overwrites
+        (``async.update_conflicts``); ``False`` gives the leanest
+        possible hot loop.  shm only.
+    nodes:
+        Worker processes for the ps backend (default: up to 4, bounded
+        by the host's cores).  ps only.
+    shards:
+        Parameter shards on the ps backend's server (default: derived
+        from the model size, at most 8).  ps only.
+    max_staleness:
+        ps backend: bounded-staleness window in work items — a worker
+        more than this far ahead of the slowest live worker blocks on
+        pull.  ``None`` (the default) is the unbounded fast-async
+        regime; ``0`` is lock-step.  ps only.
+    checkpoint_dir:
+        ps backend: directory for the server's versioned shard
+        checkpoints.  Enables epoch-boundary checkpointing and — with
+        server faults or ``server_process`` — crash-restart failover.
+        ps only.
+    checkpoint_every:
+        ps backend: background-checkpoint trigger in pushes since the
+        last write (requires ``checkpoint_dir``).  ps only.
+    checkpoint_seconds:
+        ps backend: background-checkpoint trigger in seconds since the
+        last write (requires ``checkpoint_dir``).  ps only.
+    server_process:
+        ps backend: run the shard server in its own supervised process
+        (the failover-capable topology); forced on automatically when
+        the fault plan carries server-level kinds.  ps only.
+    epoch_timeout:
+        Measured backends: seconds the parent waits for an epoch
+        barrier before declaring the run dead (default 120).
+    fault_plan:
+        Seeded faults to inject into the measured backends' workers
+        (chaos testing); see :class:`repro.faults.FaultPlan` — the
+        shm backend takes the worker-level kinds, the ps backend the
+        node-level kinds (``node-kill`` / ``node-stall``).
+    max_restarts:
+        Recovery budget for measured-backend worker failures: dead
+        workers are recovered by re-partitioning their examples over
+        the survivors (stalls by a full respawn, NaN-poisoned
+        snapshots by scrubbing), up to this many times, with
+        exponential backoff on the epoch timeout.  ``0`` (the
+        default) fails fast.
+    """
+
+    task: str
+    dataset: str | Dataset
+    architecture: str = "cpu-par"
+    strategy: str = "asynchronous"
+    scale: str = "small"
+    step_size: float | None = None
+    max_epochs: int | None = None
+    batch_size: int | None = None
+    seed: int | None = None
+    early_stop_tolerance: float | None = 0.01
+    representation: str = "auto"
+    backend: str = "simulated"
+    threads: int | None = None
+    track_conflicts: bool = True
+    nodes: int | None = None
+    shards: int | None = None
+    max_staleness: int | None = None
+    checkpoint_dir: str | None = None
+    checkpoint_every: int | None = None
+    checkpoint_seconds: float | None = None
+    server_process: bool = False
+    epoch_timeout: float | None = None
+    fault_plan: FaultPlan | None = None
+    max_restarts: int = 0
+
+    def __post_init__(self) -> None:
+        self._validate()
+        defaults: dict[str, Any] = {}
+        if self.step_size is None:
+            defaults["step_size"] = default_step_size(self.task, self.strategy)
+        if self.max_epochs is None:
+            defaults["max_epochs"] = 400 if self.strategy == "synchronous" else 150
+        if self.batch_size is None:
+            # Per-backend default: the simulated MLP Hogbatch uses the
+            # paper's B = 512; the measured backends default to pure
+            # Hogwild / per-example push-pull (one row per work item).
+            defaults["batch_size"] = 1 if self.measured else 512
+        if self.backend == "shm" and self.threads is None:
+            from ..parallel.shm import default_shm_workers
+
+            defaults["threads"] = default_shm_workers()
+        if self.backend == "ps" and self.nodes is None:
+            from ..distributed import default_ps_nodes
+
+            defaults["nodes"] = default_ps_nodes()
+        for name, value in defaults.items():
+            object.__setattr__(self, name, value)
+
+    def _validate(self) -> None:
+        if self.task not in ("lr", "svm", "mlp"):
+            raise ConfigurationError(f"unknown task {self.task!r}")
+        if self.architecture not in ARCHITECTURES:
+            raise ConfigurationError(
+                f"unknown architecture {self.architecture!r}; "
+                f"available: {ARCHITECTURES}"
+            )
+        if self.strategy not in STRATEGIES:
+            raise ConfigurationError(
+                f"unknown strategy {self.strategy!r}; available: {STRATEGIES}"
+            )
+        if self.representation not in ("auto", "dense", "sparse"):
+            raise ConfigurationError(
+                f"unknown representation {self.representation!r}; "
+                "use 'auto', 'dense' or 'sparse'"
+            )
+        if self.representation != "auto" and self.task == "mlp":
+            raise ConfigurationError(
+                "representation overrides apply to lr/svm; the MLP pipeline is "
+                "dense by construction (feature grouping densifies the data)"
+            )
+        if self.backend not in BACKENDS:
+            raise ConfigurationError(
+                f"unknown backend {self.backend!r}; available: {BACKENDS}"
+            )
+        if self.max_restarts < 0:
+            raise ConfigurationError(
+                f"max_restarts must be >= 0, got {self.max_restarts}"
+            )
+        if self.measured:
+            if self.strategy != "asynchronous" or self.task == "mlp":
+                raise ConfigurationError(
+                    f"the {self.backend} backend runs asynchronous lr/svm "
+                    "configurations; use backend='simulated' for synchronous "
+                    "or MLP runs"
+                )
+        else:
+            self._refuse_set(
+                ("epoch_timeout", "fault_plan", "max_restarts"),
+                "configure the measured backends; pass backend='shm' or "
+                "backend='ps' (the simulated backend's concurrency and "
+                "failure model come from the architecture's machine model)",
+            )
+        if self.backend != "shm":
+            self._refuse_set(
+                ("threads", "track_conflicts"),
+                "configure the shm backend; pass backend='shm'",
+            )
+        if self.backend != "ps":
+            self._refuse_set(
+                (
+                    "nodes",
+                    "shards",
+                    "max_staleness",
+                    "checkpoint_dir",
+                    "checkpoint_every",
+                    "checkpoint_seconds",
+                    "server_process",
+                ),
+                "configure the ps backend; pass backend='ps'",
+            )
+
+    def _refuse_set(self, names: tuple[str, ...], why: str) -> None:
+        """Reject the fields in *names* that were moved off their default
+        (a backend-specific knob set for a backend that ignores it)."""
+        defaults = self.__dataclass_fields__
+        offending = [n for n in names if getattr(self, n) != defaults[n].default]
+        if offending:
+            raise ConfigurationError(f"{', '.join(offending)} {why}")
+
+    @property
+    def measured(self) -> bool:
+        """Whether the backend runs real processes (shm / ps)."""
+        return self.backend in ("shm", "ps")
+
+    @property
+    def dataset_name(self) -> str:
+        """The dataset's name (a prebuilt one's profile, minus ``-mlp``)."""
+        if isinstance(self.dataset, Dataset):
+            return self.dataset.profile.name.removesuffix("-mlp")
+        return self.dataset
+
+    def to_dict(self) -> dict[str, Any]:
+        """Every field, JSON-ready: ``train(**config.to_dict())`` reruns
+        the run (a prebuilt dataset is recorded by name, a fault plan by
+        its :meth:`~repro.faults.FaultPlan.describe` list)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["dataset"] = self.dataset_name
+        if self.fault_plan is not None:
+            out["fault_plan"] = self.fault_plan.describe()
+        return out

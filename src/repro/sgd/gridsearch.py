@@ -78,7 +78,7 @@ def grid_search(
     """Evaluate every step size in *grid* and rank by time to convergence.
 
     All remaining keyword arguments are forwarded to
-    :func:`repro.sgd.runner.train` (scale, seed, max_epochs, models...).
+    :func:`repro.sgd.runner.train` (scale, seed, max_epochs, ...).
     """
     if not grid:
         raise ConfigurationError("grid must not be empty")

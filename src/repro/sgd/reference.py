@@ -43,13 +43,16 @@ import numpy as np
 
 from ..asyncsim import AsyncSchedule
 from ..asyncsim.engine import run_async_epoch
+from ..datasets.synthetic import Dataset
+from ..models import make_model
 from ..models.base import Matrix, Model
 from ..models.mlp import MLP
 from ..utils.errors import DivergenceError
-from ..utils.rng import derive_rng
+from ..utils.rng import DEFAULT_SEED, derive_rng
 
 __all__ = [
     "reference_loss",
+    "reference_problem",
     "clear_reference_cache",
     "cached_reference",
     "seed_reference_cache",
@@ -120,6 +123,24 @@ def _store_disk_cache(entries: dict[str, float]) -> None:
         except OSError:
             pass
         raise
+
+
+def reference_problem(
+    task: str, name: str, ds: Dataset, seed: int | None
+) -> tuple[Model, np.ndarray, str]:
+    """The model, shared initial parameters and reference key of a run.
+
+    Every configuration of a (task, dataset, seed) starts from the same
+    initial model and is measured against the same optimum; the runner
+    and the grid executor's pre-solve both derive them here.
+    """
+    model = make_model(task, ds)
+    init = model.init_params(derive_rng(seed, f"init/{task}/{name}"))
+    # `seed if ... else`, not `seed or`: seed=0 is a real seed and
+    # must not collide with the default seed's cached optimum.
+    ref_seed = seed if seed is not None else DEFAULT_SEED
+    key = f"{task}/{name}/{ds.n_examples}x{ds.n_features}/seed{ref_seed}"
+    return model, init, key
 
 
 def clear_reference_cache() -> None:

@@ -11,77 +11,37 @@ architecture (cpu-seq / cpu-par / gpu) and an update strategy
 * **hardware efficiency** (time per iteration) was produced by the
   analytical machine models at the paper's full dataset scale;
 * **time to convergence** is their product, the paper's third axis.
+
+:func:`run` takes the configuration as one
+:class:`~repro.sgd.config.RunConfig`; :func:`train` builds it from keywords.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
 from ..asyncsim import AsyncSchedule
-from ..datasets import PAPER_PROFILES, load, load_mlp
+from ..datasets import PAPER_PROFILES, load_for
 from ..datasets.synthetic import Dataset
-from ..faults import FaultPlan, RecoveryPolicy
+from ..faults import RecoveryPolicy
 from ..hardware import AsyncWorkload, CpuModel, GpuModel
 from ..linalg.trace import Trace
-from ..models import Model, make_model
+from ..models import Model
 from ..telemetry import keys
 from ..telemetry.session import AnyTelemetry, ensure_telemetry
 from ..utils.errors import ConfigurationError
-from ..utils.rng import DEFAULT_SEED, derive_rng
+from ..utils.rng import DEFAULT_SEED
 from ..utils.units import FLOAT64_BYTES, INT32_BYTES
-from .config import TOLERANCES, SGDConfig
+from .config import ARCHITECTURES, STRATEGIES, TOLERANCES, RunConfig, SGDConfig
 from .convergence import LossCurve, tolerance_threshold
 from .asynchronous import train_asynchronous
-from .reference import reference_loss
+from .reference import reference_loss, reference_problem
 from .synchronous import train_synchronous
 
-__all__ = [
-    "ARCHITECTURES",
-    "STRATEGIES",
-    "BACKENDS",
-    "TrainResult",
-    "train",
-    "default_step_size",
-    "DEFAULT_STEP_SIZES",
-]
-
-ARCHITECTURES: tuple[str, ...] = ("cpu-seq", "cpu-par", "gpu")
-STRATEGIES: tuple[str, ...] = ("synchronous", "asynchronous")
-
-#: Execution backends for asynchronous lr/svm configurations:
-#: ``"simulated"`` runs the deterministic asynchrony simulator and prices
-#: hardware time with the analytical machine models; ``"shm"`` runs real
-#: lock-free worker processes over a shared-memory model and *measures*
-#: wall-clock time on the host; ``"ps"`` runs worker processes against a
-#: sharded parameter server over local TCP (:mod:`repro.distributed`)
-#: and measures the distributed asynchronous regime.
-BACKENDS: tuple[str, ...] = ("simulated", "shm", "ps")
-
-#: Step sizes selected by the grid-search protocol (Section IV-A) at the
-#: default benchmark scale; :func:`repro.sgd.gridsearch.grid_search`
-#: regenerates them.  Keys: (task, strategy).  Values may be refined per
-#: dataset via the nested dict.
-DEFAULT_STEP_SIZES: dict[tuple[str, str], float] = {
-    ("lr", "synchronous"): 10.0,
-    ("svm", "synchronous"): 1.0,
-    ("mlp", "synchronous"): 1.0,
-    ("lr", "asynchronous"): 0.1,
-    ("svm", "asynchronous"): 0.01,
-    ("mlp", "asynchronous"): 0.1,
-}
-
-
-def default_step_size(task: str, strategy: str) -> float:
-    """The tuned default step size for a (task, strategy) pair."""
-    try:
-        return DEFAULT_STEP_SIZES[(task, strategy)]
-    except KeyError:
-        raise ConfigurationError(
-            f"no default step size for task={task!r}, strategy={strategy!r}"
-        ) from None
+__all__ = ["ARCHITECTURES", "STRATEGIES", "TrainResult", "train", "run"]
 
 
 @dataclass
@@ -172,8 +132,6 @@ def _apply_representation(dataset: Dataset, representation: str) -> Dataset:
     """Convert the feature matrix to the requested storage format."""
     if representation == "auto":
         return dataset
-    from dataclasses import replace as dc_replace
-
     if representation == "dense" and dataset.is_sparse:
         return Dataset(
             name=dataset.name,
@@ -193,8 +151,6 @@ def _apply_representation(dataset: Dataset, representation: str) -> Dataset:
 
 def _effective_full_profile(dataset: Dataset, representation: str = "auto"):
     """Paper-scale profile with the representation override applied."""
-    from dataclasses import replace as dc_replace
-
     full = _full_profile(dataset)
     if representation == "dense" and not full.dense:
         return dc_replace(full, dense=True)
@@ -305,130 +261,37 @@ def train(
     dataset: str | Dataset,
     architecture: str = "cpu-par",
     strategy: str = "asynchronous",
-    scale: str = "small",
-    step_size: float | None = None,
-    max_epochs: int | None = None,
-    batch_size: int | None = None,
-    seed: int | None = None,
-    cpu_model: CpuModel | None = None,
-    gpu_model: GpuModel | None = None,
-    early_stop_tolerance: float | None = 0.01,
-    representation: str = "auto",
-    backend: str = "simulated",
-    threads: int | None = None,
-    track_conflicts: bool = True,
-    nodes: int | None = None,
-    shards: int | None = None,
-    max_staleness: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_seconds: float | None = None,
-    server_process: bool = False,
-    epoch_timeout: float | None = None,
-    fault_plan: FaultPlan | None = None,
-    max_restarts: int = 0,
-    snapshot_out: str | None = None,
+    *,
     telemetry: AnyTelemetry | None = None,
+    snapshot_out: str | None = None,
+    **options,
 ) -> TrainResult:
     """Train one paper configuration and report all three performance axes.
 
+    The keywords are :class:`~repro.sgd.config.RunConfig`'s fields
+    (documented there); this is ``run(RunConfig(...), ...)``.
+    """
+    config = RunConfig(task, dataset, architecture, strategy, **options)
+    return run(config, telemetry=telemetry, snapshot_out=snapshot_out)
+
+
+def run(
+    config: RunConfig,
+    *,
+    telemetry: AnyTelemetry | None = None,
+    snapshot_out: str | None = None,
+) -> TrainResult:
+    """Train the configuration *config* describes.
+
     Parameters
     ----------
-    task:
-        ``"lr"``, ``"svm"`` or ``"mlp"``.
-    dataset:
-        A paper dataset name (generated at *scale*) or a prebuilt
-        :class:`~repro.datasets.synthetic.Dataset` (MLP callers must
-        pass the feature-grouped variant).
-    architecture:
-        ``"cpu-seq"``, ``"cpu-par"`` or ``"gpu"``.
-    strategy:
-        ``"synchronous"`` (blocking batch gradient descent) or
-        ``"asynchronous"`` (Hogwild for lr/svm, mini-batch/Hogbatch for
-        mlp).
-    step_size:
-        Learning rate; defaults to the tuned value for (task, strategy).
-    max_epochs:
-        Epoch budget; defaults to 400 synchronous / 150 asynchronous.
-    batch_size:
-        Mini-batch rows per update.  ``None`` (the default) resolves
-        per backend: 512 for the simulated MLP Hogbatch (the paper's
-        B) and 1 (pure Hogwild) for the shm backend.  With
-        ``backend="shm"`` an explicit value > 1 runs *measured*
-        Hogbatch: one vectorised lock-free work item per batch.
-    early_stop_tolerance:
-        Stop once the loss is within this tolerance of the optimum
-        (``None`` disables; the curve then runs to max_epochs).
-    representation:
-        The paper's third exploratory axis, exposed as a free choice:
-        ``"auto"`` keeps the dataset's natural format (CSR for the
-        sparse profiles, dense for covtype); ``"dense"`` densifies a
-        sparse dataset; ``"sparse"`` compresses a dense one.  This
-        opens the light circles of the paper's Fig. 1 — e.g. Hogwild
-        over a *dense* representation of rcv1, where every update
-        writes all d coordinates and the coherence storm appears on an
-        otherwise sparse problem.  lr/svm only (the MLP pipeline is
-        dense by construction).
-    backend:
-        ``"simulated"`` (default) runs the deterministic asynchrony
-        simulator and prices time with the analytical hardware models;
-        ``"shm"`` runs real lock-free worker processes over a
-        shared-memory model (:func:`repro.parallel.train_shm`) and
-        reports *measured* wall-clock time per epoch in
-        ``time_per_iter`` plus a ``measured`` record; ``"ps"`` runs
-        worker processes against a sharded parameter server over local
-        TCP (:func:`repro.distributed.train_ps`) — the multi-node
-        asynchronous regime, likewise measured.  Both measured
-        backends apply to asynchronous lr/svm configurations.
-    threads:
-        Worker processes for the shm backend (default: up to 4,
-        bounded by the host's cores).  Only meaningful with
-        ``backend="shm"``.
-    track_conflicts:
-        shm backend: measure racy coordinate overwrites
-        (``async.update_conflicts``); ``False`` gives the leanest
-        possible hot loop.  shm only.
-    nodes:
-        Worker processes for the ps backend (default: up to 4, bounded
-        by the host's cores).  ps only.
-    shards:
-        Parameter shards on the ps backend's server (default: derived
-        from the model size, at most 8).  ps only.
-    max_staleness:
-        ps backend: bounded-staleness window in work items — a worker
-        more than this far ahead of the slowest live worker blocks on
-        pull.  ``None`` (the default) is the unbounded fast-async
-        regime; ``0`` is lock-step.  ps only.
-    checkpoint_dir:
-        ps backend: directory for the server's versioned shard
-        checkpoints.  Enables epoch-boundary checkpointing and — with
-        server faults or ``server_process`` — crash-restart failover.
-        ps only.
-    checkpoint_every:
-        ps backend: background-checkpoint trigger in pushes since the
-        last write (requires ``checkpoint_dir``).  ps only.
-    checkpoint_seconds:
-        ps backend: background-checkpoint trigger in seconds since the
-        last write (requires ``checkpoint_dir``).  ps only.
-    server_process:
-        ps backend: run the shard server in its own supervised process
-        (the failover-capable topology); forced on automatically when
-        the fault plan carries server-level kinds.  ps only.
-    epoch_timeout:
-        Measured backends: seconds the parent waits for an epoch
-        barrier before declaring the run dead (default 120).
-    fault_plan:
-        Seeded faults to inject into the measured backends' workers
-        (chaos testing); see :class:`repro.faults.FaultPlan` — the
-        shm backend takes the worker-level kinds, the ps backend the
-        node-level kinds (``node-kill`` / ``node-stall``).
-    max_restarts:
-        Recovery budget for measured-backend worker failures: dead
-        workers are recovered by re-partitioning their examples over
-        the survivors (stalls by a full respawn, NaN-poisoned
-        snapshots by scrubbing), up to this many times, with
-        exponential backoff on the epoch timeout.  ``0`` (the
-        default) fails fast.
+    telemetry:
+        A :class:`repro.telemetry.Telemetry` to receive spans (dataset
+        load, reference solve, optimisation, hardware costing),
+        counters (gradient evaluations, updates applied, stale reads,
+        modelled bytes/flops) and simulated-time gauges.  ``None`` (the
+        default) disables observability at zero cost; results are
+        bit-identical either way.
     snapshot_out:
         Measured backends: publish a consistent model snapshot at
         every epoch boundary into a shared-memory segment and write
@@ -437,97 +300,16 @@ def train(
         hot-swap while training runs (see :mod:`repro.serving` and
         docs/SERVING.md).  The segment is unlinked when training ends;
         attached readers keep the final model.
-    telemetry:
-        A :class:`repro.telemetry.Telemetry` to receive spans (dataset
-        load, reference solve, optimisation, hardware costing),
-        counters (gradient evaluations, updates applied, stale reads,
-        modelled bytes/flops) and simulated-time gauges.  ``None`` (the
-        default) disables observability at zero cost; results are
-        bit-identical either way.
     """
-    if task not in ("lr", "svm", "mlp"):
-        raise ConfigurationError(f"unknown task {task!r}")
-    if architecture not in ARCHITECTURES:
+    if snapshot_out is not None and not config.measured:
         raise ConfigurationError(
-            f"unknown architecture {architecture!r}; available: {ARCHITECTURES}"
+            "snapshot_out configures the measured backends; pass "
+            "backend='shm' or backend='ps'"
         )
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(
-            f"unknown strategy {strategy!r}; available: {STRATEGIES}"
-        )
-    if representation not in ("auto", "dense", "sparse"):
-        raise ConfigurationError(
-            f"unknown representation {representation!r}; "
-            "use 'auto', 'dense' or 'sparse'"
-        )
-    if representation != "auto" and task == "mlp":
-        raise ConfigurationError(
-            "representation overrides apply to lr/svm; the MLP pipeline is "
-            "dense by construction (feature grouping densifies the data)"
-        )
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; available: {BACKENDS}"
-        )
-    if max_restarts < 0:
-        raise ConfigurationError(f"max_restarts must be >= 0, got {max_restarts}")
-    if backend in ("shm", "ps"):
-        if strategy != "asynchronous" or task == "mlp":
-            raise ConfigurationError(
-                f"the {backend} backend runs asynchronous lr/svm "
-                "configurations; use backend='simulated' for synchronous "
-                "or MLP runs"
-            )
-    else:
-        measured_only = {
-            "epoch_timeout": epoch_timeout is not None,
-            "fault_plan": fault_plan is not None,
-            "max_restarts": max_restarts != 0,
-            "snapshot_out": snapshot_out is not None,
-        }
-        offending = [name for name, set_ in measured_only.items() if set_]
-        if offending:
-            raise ConfigurationError(
-                f"{', '.join(offending)} configure the measured backends; "
-                "pass backend='shm' or backend='ps' (the simulated "
-                "backend's concurrency and failure model come from the "
-                "architecture's machine model)"
-            )
-    if backend != "shm":
-        shm_only = {
-            "threads": threads is not None,
-            "track_conflicts": track_conflicts is not True,
-        }
-        offending = [name for name, set_ in shm_only.items() if set_]
-        if offending:
-            raise ConfigurationError(
-                f"{', '.join(offending)} configure the shm backend; "
-                "pass backend='shm'"
-            )
-    if backend != "ps":
-        ps_only = {
-            "nodes": nodes is not None,
-            "shards": shards is not None,
-            "max_staleness": max_staleness is not None,
-            "checkpoint_dir": checkpoint_dir is not None,
-            "checkpoint_every": checkpoint_every is not None,
-            "checkpoint_seconds": checkpoint_seconds is not None,
-            "server_process": server_process is not False,
-        }
-        offending = [name for name, set_ in ps_only.items() if set_]
-        if offending:
-            raise ConfigurationError(
-                f"{', '.join(offending)} configure the ps backend; "
-                "pass backend='ps'"
-            )
-    if batch_size is None:
-        # Per-backend default: the simulated MLP Hogbatch uses the
-        # paper's B = 512; the measured backends default to pure
-        # Hogwild / per-example push-pull (one row per work item).
-        batch_size = 1 if backend in ("shm", "ps") else 512
+    task, architecture, strategy = config.task, config.architecture, config.strategy
+    scale, representation = config.scale, config.representation
     tel = ensure_telemetry(telemetry)
-    cpu = cpu_model or CpuModel()
-    gpu = gpu_model or GpuModel()
+    cpu, gpu = CpuModel(), GpuModel()
 
     with tel.span(
         "train",
@@ -537,53 +319,46 @@ def train(
         scale=scale,
     ) as root:
         with tel.span("dataset.load", scale=scale):
-            if isinstance(dataset, Dataset):
-                ds = dataset
-                ds_name = ds.profile.name.removesuffix("-mlp")
-            else:
-                ds_name = dataset
-                ds = (
-                    load_mlp(dataset, scale, seed)
-                    if task == "mlp"
-                    else load(dataset, scale, seed)
-                )
+            ds = config.dataset
+            if not isinstance(ds, Dataset):
+                ds = load_for(task, ds, scale, config.seed)
             ds = _apply_representation(ds, representation)
+        ds_name = config.dataset_name
         root.set_attribute("dataset", ds_name)
         stats = _dataset_stats(ds, ds_name, representation)
 
-        model = make_model(task, ds)
-        init = model.init_params(derive_rng(seed, f"init/{task}/{ds_name}"))
-        # `seed if ... else`, not `seed or`: seed=0 is a real seed and
-        # must not collide with the default seed's cached optimum.
-        ref_seed = seed if seed is not None else DEFAULT_SEED
-        ref_key = f"{task}/{ds_name}/{ds.n_examples}x{ds.n_features}/seed{ref_seed}"
+        model, init, ref_key = reference_problem(task, ds_name, ds, config.seed)
         with tel.span("reference.solve", key=ref_key):
             optimal = reference_loss(model, ds.X, ds.y, init, key=ref_key)
 
-        if step_size is None:
-            step_size = default_step_size(task, strategy)
-        if max_epochs is None:
-            max_epochs = 400 if strategy == "synchronous" else 150
-
         target = None
-        if early_stop_tolerance is not None:
+        if config.early_stop_tolerance is not None:
             # Divergence-prone configurations overflow inside the loss
             # already at the initial model; handled here like the
             # runners handle it, not leaked as a RuntimeWarning.
             with np.errstate(over="ignore"):
                 initial = model.loss(ds.X, ds.y, init)
-            target = tolerance_threshold(optimal, early_stop_tolerance, initial)
+            target = tolerance_threshold(optimal, config.early_stop_tolerance, initial)
 
-        config = SGDConfig(
-            step_size=step_size,
-            max_epochs=max_epochs,
-            batch_size=batch_size,
-            seed=seed if seed is not None else DEFAULT_SEED,
+        sgd_config = SGDConfig(
+            step_size=config.step_size,
+            max_epochs=config.max_epochs,
+            batch_size=config.batch_size,
+            seed=config.seed if config.seed is not None else DEFAULT_SEED,
             target_loss=target,
+        )
+        outcome = dict(
+            task=task,
+            dataset=ds_name,
+            architecture=architecture,
+            strategy=strategy,
+            step_size=config.step_size,
+            optimal_loss=optimal,
+            dataset_stats=stats,
         )
 
         if strategy == "synchronous":
-            res = train_synchronous(model, ds.X, ds.y, init, config, tel)
+            res = train_synchronous(model, ds.X, ds.y, init, sgd_config, tel)
             factor = full_scale_factor(ds, task, representation)
             trace = res.epoch_trace.scaled(factor)
             ws = working_set_bytes(ds, model, task, representation)
@@ -597,54 +372,48 @@ def train(
                 costing.add_sim_time(tpi)
             _record_sim_time(tel, root, tpi, res.curve)
             return TrainResult(
-                task=task,
-                dataset=ds_name,
-                architecture=architecture,
-                strategy=strategy,
-                step_size=step_size,
+                **outcome,
                 curve=res.curve,
                 time_per_iter=tpi,
-                optimal_loss=optimal,
                 diverged=res.curve.diverged,
                 epoch_trace=trace,
-                dataset_stats=stats,
                 params=res.params,
             )
 
-        if backend in ("shm", "ps"):
-            recovery = (
-                RecoveryPolicy(max_restarts=max_restarts) if max_restarts else None
-            )
+        if config.measured:
+            recovery = None
+            if config.max_restarts:
+                recovery = RecoveryPolicy(max_restarts=config.max_restarts)
             # Unset keeps each schedule's own default.
             timeout_kw = {}
-            if epoch_timeout is not None:
-                timeout_kw["epoch_timeout"] = epoch_timeout
-            if backend == "shm":
-                from ..parallel.shm import ShmSchedule, default_shm_workers, train_shm
+            if config.epoch_timeout is not None:
+                timeout_kw["epoch_timeout"] = config.epoch_timeout
+            if config.backend == "shm":
+                from ..parallel.shm import ShmSchedule, train_shm
 
                 run_measured, unit = train_shm, "workers"
                 schedule = ShmSchedule(
-                    workers=threads if threads is not None else default_shm_workers(),
-                    batch_size=batch_size,
-                    track_conflicts=track_conflicts,
+                    workers=config.threads,
+                    batch_size=config.batch_size,
+                    track_conflicts=config.track_conflicts,
                     **timeout_kw,
                 )
                 # Backend-specific manifest fields: read off the schedule,
                 # read off the result.
                 schedule_keys, result_keys = ("track_conflicts",), ()
             else:
-                from ..distributed import PsSchedule, default_ps_nodes, train_ps
+                from ..distributed import PsSchedule, train_ps
 
                 run_measured, unit = train_ps, "nodes"
                 schedule = PsSchedule(
-                    nodes=nodes if nodes is not None else default_ps_nodes(),
-                    shards=shards,
-                    max_staleness=max_staleness,
-                    batch_size=batch_size,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_seconds=checkpoint_seconds,
-                    server_process=server_process,
+                    nodes=config.nodes,
+                    shards=config.shards,
+                    max_staleness=config.max_staleness,
+                    batch_size=config.batch_size,
+                    checkpoint_dir=config.checkpoint_dir,
+                    checkpoint_every=config.checkpoint_every,
+                    checkpoint_seconds=config.checkpoint_seconds,
+                    server_process=config.server_process,
                     **timeout_kw,
                 )
                 schedule_keys = ("checkpoint_dir", "server_process")
@@ -664,11 +433,11 @@ def train(
                     model.n_params,
                     descriptor=snapshot_out,
                     meta={
-                        "task": task,
+                        "task": config.task,
                         "dataset": ds_name,
                         "n_features": int(ds.n_features),
-                        "step_size": float(step_size),
-                        "scale": scale,
+                        "step_size": float(config.step_size),
+                        "scale": config.scale,
                     },
                 )
             try:
@@ -677,10 +446,10 @@ def train(
                     ds.X,
                     ds.y,
                     init,
-                    config,
+                    sgd_config,
                     schedule,
                     tel,
-                    fault_plan=fault_plan,
+                    fault_plan=config.fault_plan,
                     recovery=recovery,
                     snapshot=publisher,
                 )
@@ -701,38 +470,37 @@ def train(
                 "repartitions": res.repartitions,
                 "degraded_epochs": res.degraded_epochs,
                 "recovery": list(res.recovery),
-                "fault_plan": fault_plan.describe() if fault_plan else None,
-                "max_restarts": max_restarts,
+                "fault_plan": (
+                    config.fault_plan.describe() if config.fault_plan else None
+                ),
+                "max_restarts": config.max_restarts,
                 **{name: getattr(schedule, name) for name in schedule_keys},
                 **{name: getattr(res, name) for name in result_keys},
             }
-            root.set_attribute("backend", backend)
+            root.set_attribute("backend", config.backend)
             root.set_attribute(unit, width)
             return TrainResult(
-                task=task,
-                dataset=ds_name,
-                architecture=architecture,
-                strategy=strategy,
-                step_size=step_size,
+                **outcome,
                 curve=res.curve,
                 # Measured, not modelled: real seconds per epoch on the
                 # host, with loss evaluation excluded.
                 time_per_iter=res.wall_seconds_per_epoch,
-                optimal_loss=optimal,
                 diverged=res.diverged,
-                dataset_stats=stats,
-                backend=backend,
+                backend=config.backend,
                 measured=measured,
                 params=res.params,
             )
 
         full = _effective_full_profile(ds, representation)
         schedule = _async_schedule(
-            task, architecture, ds.n_examples, full.n_examples, cpu, gpu, batch_size
+            task, architecture, ds.n_examples, full.n_examples, cpu, gpu,
+            config.batch_size,
         )
-        res = train_asynchronous(model, ds.X, ds.y, init, config, schedule, tel)
+        res = train_asynchronous(model, ds.X, ds.y, init, sgd_config, schedule, tel)
         if task == "mlp":
-            workload = AsyncWorkload.for_batched(ds, model, batch_size, profile=full)
+            workload = AsyncWorkload.for_batched(
+                ds, model, config.batch_size, profile=full
+            )
         else:
             workload = AsyncWorkload.for_linear(ds, model, profile=full)
         with tel.span("hardware.cost", architecture=architecture) as costing:
@@ -745,16 +513,10 @@ def train(
             costing.add_sim_time(tpi)
         _record_sim_time(tel, root, tpi, res.curve)
         return TrainResult(
-            task=task,
-            dataset=ds_name,
-            architecture=architecture,
-            strategy=strategy,
-            step_size=step_size,
+            **outcome,
             curve=res.curve,
             time_per_iter=tpi,
-            optimal_loss=optimal,
             diverged=res.diverged,
-            dataset_stats=stats,
             params=res.params,
         )
 

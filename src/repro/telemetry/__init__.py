@@ -17,12 +17,14 @@ A zero-dependency observability layer for the whole training stack:
 
 Typical use::
 
+    from repro.sgd import RunConfig, run
     from repro.telemetry import Telemetry, build_manifest, write_chrome_trace
 
     tel = Telemetry()
-    result = repro.train("lr", "w8a", strategy="asynchronous", telemetry=tel)
+    config = RunConfig("lr", "w8a", strategy="asynchronous")
+    result = run(config, telemetry=tel)
     write_chrome_trace(tel, "trace.json")
-    build_manifest(result, tel, scale="small").write("manifest.json")
+    build_manifest(result, tel, config).write("manifest.json")
 
 See docs/OBSERVABILITY.md for the full story.
 """

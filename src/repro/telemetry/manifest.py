@@ -1,12 +1,12 @@
 """Run manifests: the reproducibility record of one training run.
 
 A manifest pins everything needed to compare a result across PRs and
-machines: the full configuration, the realised dataset's statistics,
-the seed, the producing commit, the final metrics along the paper's
-three axes, and the telemetry counter totals.  It round-trips through
-JSON losslessly (``write`` -> ``load`` -> equality), which the test
-suite asserts and the benchmark trajectory (``BENCH_*.json``) relies
-on.
+machines: the full configuration (every :class:`~repro.sgd.config.RunConfig`
+field, so ``train(**manifest.config)`` reruns the run), the realised
+dataset's statistics, the producing commit, the final metrics along the
+paper's three axes, and the telemetry counter totals.  It round-trips
+through JSON losslessly (``write`` -> ``load`` -> equality), which the
+test suite asserts.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .gitinfo import current_git_sha
 from .session import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..sgd.config import RunConfig
     from ..sgd.runner import TrainResult
 
 __all__ = [
@@ -58,8 +59,8 @@ class RunManifest:
     created_unix: float
     git_sha: str | None
     repro_version: str
-    #: The exact configuration: task, dataset, architecture, strategy,
-    #: step size, scale, seed, epoch budget, batch size, ...
+    #: The exact configuration: every field of the run's
+    #: :class:`~repro.sgd.config.RunConfig` (:meth:`RunConfig.to_dict`).
     config: dict[str, Any] = field(default_factory=dict)
     #: Realised dataset statistics (name, rows, features, nnz, density).
     dataset: dict[str, Any] = field(default_factory=dict)
@@ -98,42 +99,20 @@ def load_manifest(path: str | pathlib.Path) -> RunManifest:
 
 def build_manifest(
     result: "TrainResult",
-    telemetry: Telemetry | None = None,
-    *,
-    scale: str | None = None,
-    seed: int | None = None,
-    max_epochs: int | None = None,
-    batch_size: int | None = None,
-    extra_config: dict[str, Any] | None = None,
+    telemetry: Telemetry | None,
+    config: "RunConfig",
 ) -> RunManifest:
     """Assemble the manifest for one :func:`repro.train` result.
 
-    The counter/gauge sections come from *telemetry* (empty when the
-    run was not instrumented); the result section is always derived
-    from the returned :class:`~repro.sgd.runner.TrainResult`, so a
-    manifest is meaningful even without live telemetry.
+    *config* is the run that produced *result*; its fields become the
+    manifest's ``config``.  The counter/gauge sections come from
+    *telemetry* (empty when the run was not instrumented); the result
+    section is always derived from the returned
+    :class:`~repro.sgd.runner.TrainResult`, so a manifest is meaningful
+    even without live telemetry.
     """
     from .. import __version__
     from ..sgd.config import TOLERANCES
-
-    config: dict[str, Any] = {
-        "task": result.task,
-        "dataset": result.dataset,
-        "architecture": result.architecture,
-        "strategy": result.strategy,
-        "step_size": result.step_size,
-    }
-    if scale is not None:
-        config["scale"] = scale
-    if seed is not None:
-        config["seed"] = seed
-    if max_epochs is not None:
-        config["max_epochs"] = max_epochs
-    if batch_size is not None:
-        config["batch_size"] = batch_size
-    if extra_config:
-        config.update(extra_config)
-    config.setdefault("backend", result.backend)
 
     epochs_run = result.curve.epochs[-1] if result.curve.epochs else 0
     results: dict[str, Any] = {
@@ -163,7 +142,7 @@ def build_manifest(
         created_unix=time.time(),
         git_sha=current_git_sha(),
         repro_version=__version__,
-        config=config,
+        config=config.to_dict(),
         dataset=dict(result.dataset_stats or {}),
         results=results,
         counters=telemetry.counters() if telemetry is not None else {},

@@ -204,6 +204,33 @@ class TestDivergenceSentinel:
             0.5 * serial_async[cell].step_size
         )
 
+    def test_healed_cell_is_stored_at_the_step_it_ran(self, tmp_path):
+        """A healed cell is stored under its backed-off step: a context
+        asking for that step resumes it, one asking for the original
+        step trains it again."""
+        store = ResultStore(tmp_path / "grid")
+        cell = async_cells()[0]
+        ctx = make_ctx(
+            jobs=1, store=store, fault_plan=FaultPlan.parse(["cell-nan@1:w1"])
+        )
+        executor = GridExecutor(ctx)
+        healed = executor.execute([cell])[cell].step_size
+        original = ctx.step_for(
+            cell.task, cell.dataset, cell.strategy, cell.architecture
+        )
+        assert healed == pytest.approx(0.5 * original)
+        assert executor.cell_records[-1]["manifest"]["config"]["step_size"] == healed
+
+        def executed(**kw):
+            tel = Telemetry()
+            fresh = make_ctx(jobs=1, store=store, resume=True, telemetry=tel, **kw)
+            GridExecutor(fresh).execute([cell])
+            return tel.counters().get(keys.GRID_CELLS_EXECUTED, 0)
+
+        override = (cell.task, cell.dataset, cell.strategy, cell.architecture)
+        assert executed(step_overrides={override: healed}) == 0
+        assert executed() == 1
+
     def test_persistent_divergence_quarantined(self):
         tel = Telemetry()
         ctx = make_ctx(

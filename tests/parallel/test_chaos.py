@@ -17,7 +17,7 @@ from repro.datasets import load
 from repro.faults import FaultPlan, RecoveryPolicy
 from repro.models import make_model
 from repro.parallel import ShmSchedule, train_shm
-from repro.sgd import SGDConfig, train
+from repro.sgd import RunConfig, SGDConfig, run, train
 from repro.telemetry import Telemetry, build_manifest, keys
 from repro.utils.errors import WorkerError
 from repro.utils.rng import derive_rng
@@ -253,13 +253,13 @@ class TestFacadeAndManifest:
         """End to end through train(): a seeded kill recovers, and the
         manifest records the fault counters and recovery trajectory."""
         tel = Telemetry()
-        r = train(
+        config = RunConfig(
             "lr", "covtype", strategy="asynchronous", scale="tiny",
             step_size=0.05, max_epochs=4, early_stop_tolerance=None,
             backend="shm", threads=2,
             fault_plan=FaultPlan.single("kill", 2), max_restarts=2,
-            telemetry=tel,
         )
+        r = run(config, telemetry=tel)
         m = r.measured
         assert m["max_restarts"] == 2
         assert m["restarts"] + m["repartitions"] == 1
@@ -267,7 +267,7 @@ class TestFacadeAndManifest:
             {"kind": "kill", "epoch": 2, "worker": None, "seconds": None}
         ]
         assert m["recovery"]  # trajectory recorded
-        manifest = build_manifest(r, tel, scale="tiny", max_epochs=4)
+        manifest = build_manifest(r, tel, config)
         assert manifest.config["backend"] == "shm"
         assert manifest.counters[keys.FAULT_INJECTED] >= 1
         assert (

@@ -3,6 +3,7 @@
 import json
 
 import repro
+from repro.sgd import RunConfig, run
 from repro.telemetry import (
     MANIFEST_SCHEMA,
     RunManifest,
@@ -13,23 +14,25 @@ from repro.telemetry import (
 )
 
 
+CONFIG = RunConfig(
+    "lr",
+    "w8a",
+    architecture="cpu-par",
+    strategy="asynchronous",
+    scale="tiny",
+    max_epochs=12,
+)
+
+
 def _tiny_result(telemetry=None):
-    return repro.train(
-        "lr",
-        "w8a",
-        architecture="cpu-par",
-        strategy="asynchronous",
-        scale="tiny",
-        max_epochs=12,
-        telemetry=telemetry,
-    )
+    return run(CONFIG, telemetry=telemetry)
 
 
 class TestBuildManifest:
     def test_sections_populated(self):
         tel = Telemetry()
         result = _tiny_result(tel)
-        m = build_manifest(result, tel, scale="tiny", max_epochs=12)
+        m = build_manifest(result, tel, CONFIG)
         assert m.schema == MANIFEST_SCHEMA
         assert m.repro_version == repro.__version__
         assert m.config["task"] == "lr"
@@ -45,7 +48,7 @@ class TestBuildManifest:
         result = _tiny_result(tel)
         epochs = result.curve.epochs[-1]
         n = result.dataset_stats["n_examples"]
-        m = build_manifest(result, tel, scale="tiny")
+        m = build_manifest(result, tel, CONFIG)
         # Hogwild: one gradient evaluation and one applied update per
         # example per epoch; simulated time gauges mirror the result.
         assert m.counters[keys.GRAD_EVALS] == epochs * n
@@ -56,13 +59,13 @@ class TestBuildManifest:
 
     def test_without_telemetry_results_still_present(self):
         result = _tiny_result()
-        m = build_manifest(result)
+        m = build_manifest(result, None, CONFIG)
         assert m.counters == {}
         assert m.results["final_loss"] == result.curve.final_loss
 
     def test_never_converged_tolerance_stored_as_null(self):
         result = _tiny_result()
-        m = build_manifest(result)
+        m = build_manifest(result, None, CONFIG)
         for pct in (10, 5, 2, 1):
             e = m.results[f"epochs_to_{pct}pct"]
             t = m.results[f"time_to_{pct}pct_s"]
@@ -74,7 +77,7 @@ class TestRoundTrip:
     def test_write_load_equality(self, tmp_path):
         tel = Telemetry()
         result = _tiny_result(tel)
-        m = build_manifest(result, tel, scale="tiny", seed=None, max_epochs=12)
+        m = build_manifest(result, tel, CONFIG)
         path = m.write(tmp_path / "manifest.json")
         loaded = load_manifest(path)
         assert loaded == m

@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import _make_context, build_parser, main
 
 
 class TestParser:
@@ -152,3 +153,53 @@ class TestOutputsIntoMissingDirectory:
             proc.wait()
         schema = json.loads(manifest.read_text())["schema"]
         assert schema == "repro.telemetry/serve-manifest/v1"
+
+
+class TestRunManifestReruns:
+    """A run manifest pins every field of the run it records, so the
+    manifest alone reruns it."""
+
+    def test_train_manifest_reruns_bit_for_bit(self, tmp_path, capsys):
+        from repro.sgd import load_results, train
+
+        manifest, model = tmp_path / "m.json", tmp_path / "model.json"
+        rc = main(
+            [
+                "train", "--task", "lr", "--dataset", "w8a", "--scale", "tiny",
+                "--epochs", "40", "--tolerance", "0.5",
+                "--manifest-out", str(manifest), "--model-out", str(model),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        config = json.loads(manifest.read_text())["config"]
+        for name in (
+            "max_epochs", "early_stop_tolerance", "batch_size", "seed",
+            "representation", "backend",
+        ):
+            assert name in config, name
+        assert (config["max_epochs"], config["early_stop_tolerance"]) == (40, 0.5)
+        (ran,) = load_results(model)
+        rerun = train(**config)
+        assert rerun.curve.epochs == ran.curve.epochs
+        assert rerun.curve.losses == ran.curve.losses
+        assert np.array_equal(rerun.params, ran.params)
+        # Without the recorded tolerance the rerun stops elsewhere.
+        default = train(**{**config, "early_stop_tolerance": 0.01})
+        assert default.curve.losses != ran.curve.losses
+
+    def test_grid_cell_manifest_is_its_context_config(self, tmp_path, capsys):
+        argv = [
+            "experiments", "--artifacts", "table2", "--tasks", "lr",
+            "--datasets", "w8a", "--scale", "tiny", "--tolerance", "0.05",
+            "--store", str(tmp_path / "store"),
+        ]
+        manifest = tmp_path / "gm.json"
+        assert main([*argv, "--manifest-out", str(manifest)]) == 0
+        capsys.readouterr()
+        ctx = _make_context(build_parser().parse_args(argv))
+        records = json.loads(manifest.read_text())["cells"]
+        assert {r["source"] for r in records} == {"executed", "recosted"}
+        for record in records:
+            expected = ctx.config_for(**record["cell"]).to_dict()
+            assert record["manifest"]["config"] == expected
