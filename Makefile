@@ -1,6 +1,6 @@
 # Convenience targets for the repro library.
 
-.PHONY: test chaos chaos-grid grid-resume chaos-ps chaos-ps-server serve-smoke shapes bench-pairs experiments grid examples probe all
+.PHONY: test chaos chaos-grid grid-resume chaos-ps chaos-ps-server steps-resume serve-smoke shapes bench-pairs experiments grid steps examples all
 
 # Worker processes for the parallel experiment grid (make grid JOBS=8).
 JOBS ?= 4
@@ -58,6 +58,29 @@ grid-resume:     ## --jobs 2 grid into a store, then resume it: same tables, not
 			'cells resumed,', int(c.get('grid.cells_recosted', 0)), 'recosted, 0 executed')"
 	@ls /dev/shm/psm_* >/dev/null 2>&1 && \
 		{ echo 'grid-resume: leaked shared-memory segments'; ls /dev/shm/psm_*; exit 1; } || true
+
+STEPS_ARGS = gridsearch --scale tiny --tasks lr --datasets covtype w8a
+STEPS_RUN = REPRO_CACHE_DIR=/tmp/steps/cache PYTHONPATH=src python -m repro $(STEPS_ARGS)
+
+steps-resume:    ## tuned-table rows serially, over --jobs 2 into a store, then resumed: same rows, nothing re-executed
+	rm -rf /tmp/steps && mkdir -p /tmp/steps
+	$(STEPS_RUN) --table /tmp/steps/serial.json > /tmp/steps/serial.txt
+	$(STEPS_RUN) --table /tmp/steps/jobs2.json --jobs 2 --store /tmp/steps/store \
+		> /tmp/steps/jobs2.txt
+	$(STEPS_RUN) --table /tmp/steps/resumed.json --jobs 2 --store /tmp/steps/store \
+		--resume --manifest-out /tmp/steps/manifest.json > /tmp/steps/resumed.txt
+	cmp /tmp/steps/serial.json /tmp/steps/jobs2.json
+	cmp /tmp/steps/serial.json /tmp/steps/resumed.json
+	diff /tmp/steps/serial.txt /tmp/steps/jobs2.txt
+	diff /tmp/steps/serial.txt /tmp/steps/resumed.txt
+	PYTHONPATH=src python -c "import json; \
+		c = json.load(open('/tmp/steps/manifest.json'))['counters']; \
+		assert 'grid.cells_executed' not in c, c; \
+		assert c.get('grid.cells_resumed', 0) > 0, c; \
+		print('steps-resume: identical rows |', int(c['grid.cells_resumed']), \
+			'points resumed, 0 executed')"
+	@ls /dev/shm/psm_* >/dev/null 2>&1 && \
+		{ echo 'steps-resume: leaked shared-memory segments'; ls /dev/shm/psm_*; exit 1; } || true
 
 chaos-ps:        ## node-kill/node-stall drill against the parameter-server backend
 	rm -rf /tmp/chaos_ps && mkdir -p /tmp/chaos_ps
@@ -147,8 +170,8 @@ grid:            ## all paper artifacts over the parallel, resumable grid
 examples:
 	for f in examples/*.py; do echo "== $$f"; REPRO_CACHE_DIR=.repro_cache python $$f || exit 1; done
 
-probe:           ## re-run the step-size calibration and bake it
-	REPRO_CACHE_DIR=.repro_cache python scripts/probe_steps.py
-	python scripts/bake_tuned.py
+steps:           ## re-run the step-size protocol for every tuned-table row; writes the packaged table
+	REPRO_CACHE_DIR=.repro_cache PYTHONPATH=src python -m repro gridsearch \
+		--table src/repro/experiments/tuned_steps.json --jobs $(JOBS) --resume
 
 all: test shapes experiments

@@ -52,6 +52,7 @@ from . import (
     telemetry,
     utils,
 )
+from .experiments import grid_search
 from .faults import FaultPlan, FaultSpec, RecoveryPolicy
 from .datasets import DATASET_NAMES, Dataset, load, load_mlp, read_libsvm
 from .hardware import TESLA_K80, XEON_E5_2660V4_DUAL, CpuModel, GpuModel
@@ -63,7 +64,6 @@ from .sgd import (
     SGDConfig,
     TOLERANCES,
     TrainResult,
-    grid_search,
     train,
 )
 from .telemetry import (

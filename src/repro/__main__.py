@@ -16,7 +16,8 @@ Commands map one-to-one onto the paper's artifacts:
   live training run's snapshots and answer JSON-lines score requests
   over a local socket, hot-swapping new model versions without dropping
   in-flight requests (see docs/SERVING.md);
-* ``gridsearch`` — the step-size selection protocol for one cell.
+* ``gridsearch`` — the step-size selection protocol for one cell, or
+  with ``--table PATH`` for every row of the tuned step table.
 
 Examples::
 
@@ -34,14 +35,15 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import experiments
 from .datasets import DATASET_NAMES
 from .models import TASK_NAMES
 from .faults import FaultPlan
-from .sgd import ARCHITECTURES, BACKENDS, STRATEGIES, RunConfig, run
+from .sgd import ARCHITECTURES, BACKENDS, STEP_GRID, STRATEGIES, RunConfig, run
 
 #: Artifact name -> the driver that regenerates it.
 _RUNNERS = {
@@ -73,6 +75,25 @@ def _add_ps_manifest_arg(p: argparse.ArgumentParser) -> None:
         help="run manifest(s) from --backend ps runs whose measured "
         "ps.staleness_bucket.* histograms are rendered as an extra "
         "section under Table III",
+    )
+
+
+def _add_axis_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--tasks",
+        nargs="+",
+        choices=TASK_NAMES,
+        default=None,
+        metavar="TASK",
+        help="restrict the grid to these tasks (default: all)",
+    )
+    p.add_argument(
+        "--datasets",
+        nargs="+",
+        choices=DATASET_NAMES,
+        default=None,
+        metavar="DS",
+        help="restrict the grid to these datasets (default: all)",
     )
 
 
@@ -172,8 +193,6 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
 
 def _make_store(args: argparse.Namespace):
     """The ResultStore implied by --store/--resume, or ``None``."""
-    import os
-
     path = getattr(args, "store", None)
     if path is None and getattr(args, "resume", False):
         path = os.path.join(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"), "grid")
@@ -287,6 +306,12 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             _attach_ps_manifests(result, args)
         print(result.render())
         print()
+    _report_grid(args, ctx, artifacts=list(args.artifacts))
+    return 0
+
+
+def _report_grid(args: argparse.Namespace, ctx, **settings) -> None:
+    """Summarise a grid run on stderr; write its manifest if requested."""
     executed = sum(1 for r in ctx.grid_records if r["source"] == "executed")
     resumed = sum(1 for r in ctx.grid_records if r["source"] == "resumed")
     quarantined = sum(1 for r in ctx.grid_records if r["source"] == "quarantined")
@@ -323,7 +348,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                 "scale": args.scale,
                 "seed": args.seed,
                 "tolerance": args.tolerance,
-                "artifacts": list(args.artifacts),
+                **settings,
                 "resume": bool(args.resume),
                 "keep_going": bool(args.keep_going),
                 "shared_data": bool(args.shared_data),
@@ -334,7 +359,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             args.manifest_out, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
         print(f"grid manifest written to {args.manifest_out}", file=sys.stderr)
-    return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -461,29 +485,35 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
 
 
 def _cmd_gridsearch(args: argparse.Namespace) -> int:
-    from .sgd import grid_search
+    from .experiments import steps
 
-    result = grid_search(
-        args.task,
-        args.dataset,
-        architecture=args.architecture,
-        strategy=args.strategy,
-        tolerance=args.tolerance,
-        scale=args.scale,
-        seed=args.seed,
-        max_epochs=args.epochs,
-    )
-    for point in result.points:
-        status = "diverged" if point.diverged else f"epochs={point.epochs}"
-        print(
-            f"step={point.step_size:<10g} time-to-convergence="
-            f"{point.time_to_convergence:<12.6g} {status}"
-        )
-    if result.any_converged:
-        print(f"\nbest step size: {result.best_step_size}")
-        return 0
-    print("\nno step size converged")
-    return 1
+    ctx = _make_context(args)
+    if args.table is None:
+        cell = ctx.config_for(args.task, args.dataset, args.architecture, args.strategy)
+        base = replace(cell, max_epochs=args.epochs)  # None: RunConfig's default
+        results = {None: steps.rank_steps(ctx, [(base, STEP_GRID)])[0]}
+    else:
+        results = steps.regenerate(ctx)
+    for result in results.values():
+        name = (result.task, result.dataset, result.strategy, result.architecture)
+        print(f"{'/'.join(name)}: max_epochs={result.max_epochs}")
+        for point in result.points:
+            status = "diverged" if point.diverged else f"epochs={point.epochs}"
+            if point.quarantined:
+                status = f"quarantined ({point.quarantined})"
+            print(
+                f"step={point.step_size:<10g} time-to-convergence="
+                f"{point.time_to_convergence:<12.6g} {status}"
+            )
+        best = result.any_converged and f"best step size: {result.best_step_size}"
+        print(f"{best or 'no step size converged'}\n")
+    _report_grid(args, ctx, table=args.table)
+    if args.table is None:
+        return 0 if results[None].any_converged else 1
+    rows = steps.read_table(args.table) if os.path.exists(args.table) else {}
+    rows.update({key: steps.table_row(result) for key, result in results.items()})
+    print(f"table written to {steps.write_table(args.table, rows)}", file=sys.stderr)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,22 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=f"artifacts to produce (default: all of {', '.join(_ARTIFACTS)})",
     )
-    p.add_argument(
-        "--tasks",
-        nargs="+",
-        choices=TASK_NAMES,
-        default=None,
-        metavar="TASK",
-        help="restrict the grid to these tasks (default: all)",
-    )
-    p.add_argument(
-        "--datasets",
-        nargs="+",
-        choices=DATASET_NAMES,
-        default=None,
-        metavar="DS",
-        help="restrict the grid to these datasets (default: all)",
-    )
+    _add_axis_args(p)
     _add_context_args(p)
     _add_grid_args(p)
     p.add_argument(
@@ -798,13 +813,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_context_args(p)
     p.set_defaults(func=_cmd_ladder)
 
-    p = sub.add_parser("gridsearch", help="step-size grid search for one cell")
+    p = sub.add_parser("gridsearch", help="the step-size protocol (or its table)")
     p.add_argument("--task", choices=TASK_NAMES, default="lr")
     p.add_argument("--dataset", choices=DATASET_NAMES, default="w8a")
     p.add_argument("--architecture", choices=ARCHITECTURES, default="cpu-par")
     p.add_argument("--strategy", choices=STRATEGIES, default="asynchronous")
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--epochs", type=int, help="default: 400 sync, 150 async")
+    p.add_argument(
+        "--table",
+        metavar="PATH",
+        help="re-run the tuned table's rows (all, or --tasks/--datasets) "
+        "on their recorded grid and budget, and write them into PATH",
+    )
+    _add_axis_args(p)
     _add_context_args(p)
+    _add_grid_args(p)
+    p.add_argument("--manifest-out", metavar="PATH", help="write the grid manifest")
     p.set_defaults(func=_cmd_gridsearch)
 
     return parser

@@ -15,7 +15,7 @@ from .table1 import Table1Check, Table1Result, run_table1
 from .store import ResultStore, config_key
 from .table2 import Table2Result, Table2Row, run_table2
 from .table3 import Table3Result, Table3Row, run_table3
-from .tuned import TUNED_STEPS, lookup_step
+from .steps import TUNED_STEPS, grid_search, lookup_step
 
 __all__ = [
     "ExperimentContext",
@@ -36,6 +36,7 @@ __all__ = [
     "shutdown_shared_data",
     "TUNED_STEPS",
     "lookup_step",
+    "grid_search",
     "run_table1",
     "Table1Result",
     "Table1Check",

@@ -34,7 +34,7 @@ from ..sgd.config import RunConfig, default_step_size
 from ..sgd.runner import TrainResult, run, working_set_bytes
 from ..telemetry.session import AnyTelemetry, ensure_telemetry
 from ..utils.errors import CellQuarantinedError, ConfigurationError
-from .tuned import lookup_step
+from .steps import lookup_step
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults import CellRetryPolicy, FaultPlan
@@ -118,16 +118,13 @@ class ExperimentContext:
         self, task: str, dataset: str, strategy: str, architecture: str = "*"
     ) -> float:
         """Tuned step size for a configuration (override > table > default)."""
-        for key in (
-            (task, dataset, strategy, architecture),
-            (task, dataset, strategy, "*"),
-        ):
-            if key in self.step_overrides:
-                return self.step_overrides[key]
-        tuned = lookup_step(task, dataset, strategy, architecture)
-        if tuned is not None:
-            return tuned
-        return default_step_size(task, strategy)
+        key, overrides = (task, dataset, strategy), self.step_overrides
+        return (
+            overrides.get((*key, architecture))
+            or overrides.get((*key, "*"))
+            or lookup_step(*key, architecture)
+            or default_step_size(task, strategy)
+        )
 
     def config_for(
         self, task: str, dataset: str, architecture: str, strategy: str

@@ -74,6 +74,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing.connection import wait as _conn_wait
 from typing import TYPE_CHECKING, Any
@@ -256,6 +257,13 @@ _FAILURE_COUNTER = {
 }
 
 
+#: What a grid counts for each landed job, by where its result came from.
+_SOURCE_COUNTER = {
+    "executed": keys.GRID_CELLS_EXECUTED,
+    "resumed": keys.GRID_CELLS_RESUMED,
+}
+
+
 def _result_is_finite(result: TrainResult) -> bool:
     """The divergence sentinel's check: every reported loss is finite."""
     if result.diverged:
@@ -317,18 +325,23 @@ class GridExecutor:
 
     # -- planning -----------------------------------------------------
 
-    def _job(self, kind: str, cell: GridCell, covered: GridCell) -> _Job:
-        """The job training *cell*, first requested as *covered*."""
+    def _job(self, config: RunConfig, covered: GridCell | None = None) -> _Job:
+        """The job running *config*, first requested as *covered*; a
+        synchronous one is a base run (stored with its trace)."""
         ctx = self.ctx
+        sync = config.strategy == "synchronous"
+        cell = GridCell(
+            config.task, config.dataset_name, config.architecture, config.strategy
+        )
         return _Job(
-            kind=kind,
+            kind="sync-base" if sync else "async",
             cell=cell,
             payload={
-                "config": ctx.config_for(*cell.key),
+                "config": config,
                 "telemetry": ensure_telemetry(ctx.telemetry).enabled,
             },
-            hardware=_hw_fingerprint(ctx) if kind == "sync-base" else None,
-            covers=[covered],
+            hardware=_hw_fingerprint(ctx) if sync else None,
+            covers=[covered or cell],
         )
 
     def _plan(self, cells: list[GridCell]) -> list[_Job]:
@@ -357,12 +370,11 @@ class GridExecutor:
                     # Base already ran (this or an earlier grid); the
                     # merge step re-costs straight from the cache.
                     continue
-                base_cell = GridCell(cell.task, cell.dataset, "cpu-seq", "synchronous")
-                job = self._job("sync-base", base_cell, cell)
+                job = self._job(ctx.config_for(*base_key), cell)
                 sync_bases[group] = job
                 jobs.append(job)
             else:
-                jobs.append(self._job("async", cell, cell))
+                jobs.append(self._job(ctx.config_for(*cell.key), cell))
         return jobs
 
     # -- execution ----------------------------------------------------
@@ -475,9 +487,9 @@ class GridExecutor:
         return key, value
 
     def _run_jobs(self, jobs: list[_Job], tel, parent_span) -> None:
-        """Execute the planned jobs, in the parent or over the warm pool."""
+        """Replay store hits; run the rest in the parent or on the warm pool."""
         ctx = self.ctx
-        to_run = [job for job in jobs if job.result is None]
+        to_run = [job for job in jobs if not self._try_resume(job)]
         if not to_run:
             return
         fan_out = ctx.keep_going or (ctx.jobs > 1 and len(to_run) > 1)
@@ -768,28 +780,54 @@ class GridExecutor:
                 if ctx.store is not None:
                     ctx.store.save_failure(job.config, failure)
                 continue
+            tel.count(_SOURCE_COUNTER[job.source])
             ctx._cache[job.cell.key] = job.result
-            tel.count(keys.GRID_CELLS_EXECUTED if job.source == "executed" else keys.GRID_CELLS_RESUMED)
             if len(job.covers) > 1:
                 tel.count(keys.GRID_CELLS_DEDUPED, len(job.covers) - 1)
 
-    def _record(self, cell: GridCell, source: str, pid: int | None) -> None:
-        ctx = self.ctx
-        result = ctx._cache[cell.key]
-        config = ctx.config_for(*cell.key)
-        if result.step_size != config.step_size:
+    def _record(self, cell: GridCell, source: str, pid, outcome, config) -> None:
+        """Append *cell*'s provenance: its quarantine, or its result and
+        the config that produced it."""
+        record: dict[str, Any] = {"cell": asdict(cell), "source": source}
+        if isinstance(outcome, CellFailure):
+            self.cell_records.append({**record, "failure": outcome.describe()})
+            return
+        if outcome.step_size != config.step_size:
             # Healed by the divergence sentinel: record the step the
             # result was actually produced at.
-            config = replace(config, step_size=result.step_size)
-        manifest = build_manifest(result, None, config)
-        record: dict[str, Any] = {
-            "cell": asdict(cell),
-            "source": source,
-            "manifest": manifest.to_dict(),
-        }
+            config = replace(config, step_size=outcome.step_size)
+        record["manifest"] = build_manifest(outcome, None, config).to_dict()
         if pid is not None:
             record["worker_pid"] = pid
         self.cell_records.append(record)
+
+    @contextmanager
+    def _grid(self, requested: int):
+        """One call's ``grid.execute`` span: yields (telemetry, parent span)."""
+        ctx = self.ctx
+        if ctx.resume and ctx.store is None:
+            raise ConfigurationError("resume=True requires a result store")
+        tel = ensure_telemetry(ctx.telemetry)
+        start = time.perf_counter()
+        with tel.span("grid.execute", jobs=ctx.jobs, cells=requested) as span:
+            tel.count(keys.GRID_CELLS_REQUESTED, requested)
+            yield tel, span if tel.enabled else None
+        tel.set_gauge(keys.GRID_JOBS, ctx.jobs)
+        tel.set_gauge(keys.GRID_WALL_SECONDS, time.perf_counter() - start)
+
+    def run_configs(self, configs: list[RunConfig]) -> list[TrainResult | CellFailure]:
+        """Run each configuration as one job: :meth:`execute` without its
+        cell dedup, cache or re-costing.  Outcomes in *configs* order; a
+        job a keep-going run quarantined yields its :class:`CellFailure`."""
+        jobs = [self._job(config) for config in configs]
+        with self._grid(len(jobs)) as (tel, parent_span):
+            self._run_jobs(jobs, tel, parent_span)
+            for job in jobs:
+                if job.result is not None:
+                    tel.count(_SOURCE_COUNTER[job.source])
+                outcome, config = job.result or job.failure, job.payload["config"]
+                self._record(job.cell, job.source, job.worker_pid, outcome, config)
+        return [job.result or job.failure for job in jobs]
 
     def execute(self, cells: list[GridCell]) -> dict[GridCell, TrainResult]:
         """Produce every requested cell; returns cell -> result.
@@ -799,9 +837,6 @@ class GridExecutor:
         as a ``source="quarantined"`` record in the grid manifest.
         """
         ctx = self.ctx
-        tel = ensure_telemetry(ctx.telemetry)
-        if ctx.resume and ctx.store is None:
-            raise ConfigurationError("resume=True requires a result store")
         # Stable de-duplication of the request itself.
         unique: list[GridCell] = []
         seen: set[tuple] = set()
@@ -811,14 +846,10 @@ class GridExecutor:
                 unique.append(cell)
         cells = unique
 
-        start = time.perf_counter()
-        with tel.span("grid.execute", jobs=ctx.jobs, cells=len(cells)) as span:
-            tel.count(keys.GRID_CELLS_REQUESTED, len(cells))
+        with self._grid(len(cells)) as (tel, parent_span):
             cached = {cell for cell in cells if cell.key in ctx._cache}
             jobs = self._plan(cells)
-            for job in jobs:
-                self._try_resume(job)
-            self._run_jobs(jobs, tel, span if tel.enabled else None)
+            self._run_jobs(jobs, tel, parent_span)
             self._merge(cells, jobs, tel)
 
             # Derive every requested cell in the parent.  Synchronous
@@ -832,13 +863,7 @@ class GridExecutor:
             for cell in cells:
                 failure = ctx.failure_for(*cell.key)
                 if failure is not None and cell.key not in ctx._cache:
-                    self.cell_records.append(
-                        {
-                            "cell": asdict(cell),
-                            "source": "quarantined",
-                            "failure": failure.describe(),
-                        }
-                    )
+                    self._record(cell, "quarantined", None, failure, None)
                     continue
                 job = job_by_cell.get(cell.key)
                 if cell in cached:
@@ -850,12 +875,7 @@ class GridExecutor:
                     tel.count(keys.GRID_CELLS_RECOSTED)
                 else:
                     source = job.source if job is not None else "recosted"
-                results[cell] = ctx.run(
-                    cell.task, cell.dataset, cell.architecture, cell.strategy
-                )
-                self._record(
-                    cell, source, job.worker_pid if job is not None else None
-                )
-        tel.set_gauge(keys.GRID_JOBS, ctx.jobs)
-        tel.set_gauge(keys.GRID_WALL_SECONDS, time.perf_counter() - start)
+                result = results[cell] = ctx.run(*cell.key)
+                pid = job.worker_pid if job is not None else None
+                self._record(cell, source, pid, result, ctx.config_for(*cell.key))
         return results

@@ -1,4 +1,4 @@
-"""SGD core: synchronous/asynchronous runners, convergence, grid search."""
+"""SGD core: synchronous/asynchronous runners, convergence, configuration."""
 
 from .asynchronous import AsyncResult, train_asynchronous
 from .averaging import AveragingResult, AveragingSchedule, train_model_averaging
@@ -14,7 +14,6 @@ from .config import (
     default_step_size,
 )
 from .convergence import LossCurve, tolerance_threshold
-from .gridsearch import GridPoint, GridSearchResult, grid_search
 from .lowprec import (
     BFloat16Quantizer,
     FixedPointQuantizer,
@@ -61,9 +60,6 @@ __all__ = [
     "BACKENDS",
     "full_scale_factor",
     "working_set_bytes",
-    "grid_search",
-    "GridPoint",
-    "GridSearchResult",
     "Quantizer",
     "Float32Quantizer",
     "BFloat16Quantizer",

@@ -43,10 +43,9 @@ STRATEGIES: tuple[str, ...] = ("synchronous", "asynchronous")
 #: and measures the distributed asynchronous regime.
 BACKENDS: tuple[str, ...] = ("simulated", "shm", "ps")
 
-#: Step sizes selected by the grid-search protocol (Section IV-A) at the
-#: default benchmark scale; :func:`repro.sgd.gridsearch.grid_search`
-#: regenerates them.  Keys: (task, strategy).  Values may be refined per
-#: dataset via the nested dict.
+#: Fallback step sizes per (task, strategy), for configurations without
+#: a row in the tuned table (:mod:`repro.experiments.steps`, which the
+#: grid-search protocol of Section IV-A regenerates).
 DEFAULT_STEP_SIZES: dict[tuple[str, str], float] = {
     ("lr", "synchronous"): 10.0,
     ("svm", "synchronous"): 1.0,
@@ -58,7 +57,7 @@ DEFAULT_STEP_SIZES: dict[tuple[str, str], float] = {
 
 
 def default_step_size(task: str, strategy: str) -> float:
-    """The tuned default step size for a (task, strategy) pair."""
+    """The fallback step size for a (task, strategy) pair."""
     try:
         return DEFAULT_STEP_SIZES[(task, strategy)]
     except KeyError:
@@ -153,7 +152,7 @@ class RunConfig:
         ``"asynchronous"`` (Hogwild for lr/svm, mini-batch/Hogbatch for
         mlp).
     step_size:
-        Learning rate; defaults to the tuned value for (task, strategy).
+        Learning rate; defaults to the (task, strategy) fallback.
     max_epochs:
         Epoch budget; defaults to 400 synchronous / 150 asynchronous.
     batch_size:

@@ -67,18 +67,62 @@ class TestCommands:
         assert "time_per_iter_ms" in out
         assert "epochs_to_1pct" in out
 
+    GRIDSEARCH = [
+        "gridsearch", "--task", "lr", "--dataset", "w8a", "--scale", "tiny",
+        "--architecture", "cpu-seq", "--epochs", "60", "--tolerance", "0.10",
+    ]
+
     def test_gridsearch(self, capsys):
-        rc = main(
+        rc = main(self.GRIDSEARCH)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "lr/w8a/asynchronous/cpu-seq: max_epochs=60" in out
+        assert out.count("step=") == 10
+        assert "best step size: 10.0" in out
+
+    def test_gridsearch_jobs_output_identical(self, capsys):
+        from repro.experiments import shutdown_grid_pool
+
+        assert main(self.GRIDSEARCH) == 0
+        serial = capsys.readouterr().out
+        try:
+            assert main([*self.GRIDSEARCH, "--jobs", "2"]) == 0
+        finally:
+            shutdown_grid_pool()
+        assert capsys.readouterr().out == serial
+
+    def test_gridsearch_epoch_budget_from_config(self, capsys):
+        args = build_parser().parse_args(["gridsearch"])
+        assert args.epochs is None
+        main(
             [
-                "gridsearch", "--task", "lr", "--dataset", "w8a", "--scale", "tiny",
-                "--architecture", "cpu-seq", "--epochs", "60",
-                "--tolerance", "0.10",
+                "gridsearch", "--scale", "tiny", "--strategy", "synchronous",
+                "--architecture", "cpu-seq", "--tolerance", "0.5",
             ]
         )
-        out = capsys.readouterr().out
-        assert "step=" in out
-        if rc == 0:
-            assert "best step size" in out
+        assert "max_epochs=400" in capsys.readouterr().out
+
+    def test_gridsearch_table_merges_into_path(self, tmp_path, capsys):
+        from repro.experiments.steps import read_table, write_table
+
+        path = tmp_path / "steps.json"
+        kept = {"grid": [1.0], "max_epochs": 1, "step": None, "epochs": None}
+        write_table(path, {"svm/news/synchronous/*": kept})
+        rc = main(
+            [
+                "gridsearch", "--table", str(path), "--scale", "tiny",
+                "--tasks", "lr", "--datasets", "w8a",
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        rows, packaged = read_table(path), read_table()
+        assert rows.pop("svm/news/synchronous/*") == kept
+        assert sorted(rows) == [k for k in sorted(packaged) if k.startswith("lr/w8a/")]
+        for key, row in rows.items():
+            assert row["grid"] == packaged[key]["grid"], key
+            assert row["max_epochs"] == packaged[key]["max_epochs"], key
+            assert row["step"] is None or row["step"] in row["grid"], key
 
     def test_fig6(self, capsys):
         assert main(["fig6", "--scale", "tiny"]) == 0
