@@ -146,8 +146,10 @@ chaos-ps-server: ## SIGKILL the shard server mid-epoch; checkpoint-restore failo
 	@pgrep -f 'repro train.*backend p[s]' >/dev/null 2>&1 && \
 		{ echo 'chaos-ps-server: leaked drill processes'; pgrep -af 'repro train.*backend p[s]'; exit 1; } || true
 
-serve-smoke:     ## train -> serve -> score through hot-swaps -> manifest check
+serve-smoke:     ## train -> serve -> score through hot-swaps -> manifest check, no shm leak
 	REPRO_CACHE_DIR=.repro_cache python scripts/serve_smoke.py
+	@ls /dev/shm/psm_* >/dev/null 2>&1 && \
+		{ echo 'serve-smoke: leaked shared-memory segments'; ls /dev/shm/psm_*; exit 1; } || true
 
 shapes:          ## regenerate + assert all tables/figures (CI runs exactly this)
 	PYTHONPATH=src python -m pytest benchmarks/ -q -s

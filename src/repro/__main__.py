@@ -411,7 +411,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.model,
             telemetry=telemetry,
             max_batch=args.max_batch,
-            max_delay=args.max_delay,
             watch=not args.no_watch,
             refresh_interval=(
                 args.refresh_interval if args.refresh_interval is not None else 0.25
@@ -423,7 +422,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.snapshot,
             telemetry=telemetry,
             max_batch=args.max_batch,
-            max_delay=args.max_delay,
             refresh_interval=(
                 args.refresh_interval if args.refresh_interval is not None else 0.05
             ),
@@ -459,7 +457,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "n_features": engine.n_features,
                 "address": server.address,
                 "max_batch": args.max_batch,
-                "max_delay": args.max_delay,
             },
         )
         write_text(
@@ -769,14 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="micro-batch example cap (default 64)",
-    )
-    p.add_argument(
-        "--max-delay",
-        type=float,
-        default=0.002,
-        metavar="SEC",
-        help="micro-batch coalescing window (default 0.002)",
+        help="example cap of one micro-batch: requests that queued up while "
+        "the previous batch was scored are scored together, whole, up to N "
+        "examples; a lone request is scored at once (default 64)",
     )
     p.add_argument(
         "--refresh-interval",

@@ -201,10 +201,12 @@ class ScoringEngine:
       given examples (the unbatched baseline, and the building block
       the batcher uses);
     * :meth:`request` — enqueue and wait: a background batcher thread
-      coalesces examples from concurrent requests into micro-batches of
-      up to ``max_batch`` rows (waiting at most ``max_delay`` seconds
-      for stragglers) and answers every request with the model version
-      the batch was scored under.
+      scores whatever is queued when it wakes, as one micro-batch of
+      whole requests up to ``max_batch`` rows, and answers every request
+      with the model version the batch was scored under.  It never waits
+      for stragglers: a lone request is scored at once, and requests
+      coalesce only when they queued up while the previous batch was
+      being scored.
 
     ``start()``/``stop()`` manage the batcher and the optional
     :class:`SnapshotRefresher`; the engine is also a context manager.
@@ -216,7 +218,6 @@ class ScoringEngine:
         n_features: int,
         telemetry: AnyTelemetry | None = None,
         max_batch: int = 64,
-        max_delay: float = 0.002,
         refresher: "SnapshotRefresher | None" = None,
     ) -> None:
         if task not in SERVABLE_TASKS:
@@ -228,12 +229,9 @@ class ScoringEngine:
             raise ConfigurationError(f"n_features must be >= 1, got {n_features}")
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ConfigurationError(f"max_delay must be >= 0, got {max_delay}")
         self.task = task
         self.n_features = int(n_features)
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
         self._model = (
             LogisticRegression(self.n_features)
             if task == "lr"
@@ -274,7 +272,6 @@ class ScoringEngine:
         path: str | Path,
         telemetry: AnyTelemetry | None = None,
         max_batch: int = 64,
-        max_delay: float = 0.002,
         watch: bool = True,
         refresh_interval: float = 0.25,
     ) -> "ScoringEngine":
@@ -292,7 +289,6 @@ class ScoringEngine:
             model.params.shape[0],
             telemetry=telemetry,
             max_batch=max_batch,
-            max_delay=max_delay,
             refresher=(
                 SnapshotRefresher(source, interval=refresh_interval)
                 if watch
@@ -308,7 +304,6 @@ class ScoringEngine:
         source: str | Path | ShmTrainHandle,
         telemetry: AnyTelemetry | None = None,
         max_batch: int = 64,
-        max_delay: float = 0.002,
         refresh_interval: float = 0.05,
     ) -> "ScoringEngine":
         """Serve a (possibly live) shm training run's snapshots.
@@ -337,7 +332,6 @@ class ScoringEngine:
             n_features,
             telemetry=tel,
             max_batch=max_batch,
-            max_delay=max_delay,
             refresher=SnapshotRefresher(
                 SnapshotSource(handle), interval=refresh_interval
             ),
@@ -517,13 +511,16 @@ class ScoringEngine:
     def submit(self, examples: Sequence[Any]) -> _PendingRequest:
         """Validate and enqueue a request for the batcher (non-blocking)."""
         rows = self._parse_examples(examples)  # malformed input fails fast
-        if not self._running:
-            raise ConfigurationError(
-                "micro-batched scoring needs a started engine; call start() "
-                "or use the engine as a context manager"
-            )
         pending = _PendingRequest(rows)
+        # Check and enqueue under the one lock stop() clears the flag
+        # under: a request queued after the batcher drained its leftovers
+        # would wait out its whole timeout.
         with self._cv:
+            if not self._running:
+                raise ConfigurationError(
+                    "micro-batched scoring needs a started engine; call "
+                    "start() or use the engine as a context manager"
+                )
             self._queue.append(pending)
             depth = len(self._queue)
             self._cv.notify()
@@ -547,36 +544,24 @@ class ScoringEngine:
         return pending.response
 
     def _drain(self) -> list[_PendingRequest]:
-        """Collect the next micro-batch's worth of pending requests."""
+        """The next micro-batch: the requests queued now, in FIFO order.
+
+        Requests are taken whole while their examples fit in
+        ``max_batch``; a first request larger than the cap is scored
+        alone.  Nothing waits for stragglers, so a batch holds more than
+        one request only when they queued up while the previous batch
+        was being scored — contention, the one case where batching
+        raises throughput.
+        """
         with self._cv:
             while self._running and not self._queue:
-                self._cv.wait(0.1)
+                self._cv.wait()
             if not self._queue:
                 return []
             batch = [self._queue.popleft()]
-        # Brief coalescing window: let concurrent requests pile on, up
-        # to the batch cap.  The window closes early once the queue has
-        # gone quiet — clients in a closed loop are all waiting on this
-        # very batch, so holding the full delay would only add latency.
-        # Zero delay still drains whatever is queued.
-        if self.max_delay > 0.0:
-            deadline = time.perf_counter() + self.max_delay
-            quiet = 0
-            while time.perf_counter() < deadline and quiet < 2:
-                if sum(len(p.rows) for p in batch) >= self.max_batch:
-                    break
-                with self._cv:
-                    if self._queue:
-                        batch.append(self._queue.popleft())
-                        quiet = 0
-                        continue
-                quiet += 1
-                time.sleep(self.max_delay / 10.0)
-        with self._cv:
-            while (
-                self._queue
-                and sum(len(p.rows) for p in batch) < self.max_batch
-            ):
+            n_rows = len(batch[0].rows)
+            while self._queue and n_rows + len(self._queue[0].rows) <= self.max_batch:
+                n_rows += len(self._queue[0].rows)
                 batch.append(self._queue.popleft())
         return batch
 
@@ -655,10 +640,10 @@ class ScoringEngine:
         """Stop the batcher and refresher; queued requests fail retriably."""
         if self.refresher is not None:
             self.refresher.stop()
-        if not self._running:
-            return
-        self._running = False
         with self._cv:
+            if not self._running:
+                return
+            self._running = False
             self._cv.notify_all()
         if self._batcher is not None:
             self._batcher.join(timeout=5.0)

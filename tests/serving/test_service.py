@@ -20,7 +20,7 @@ W = np.array([1.0, -2.0, 0.5, 4.0])
 
 @pytest.fixture()
 def server():
-    engine = ScoringEngine("lr", N, max_delay=0.001)
+    engine = ScoringEngine("lr", N)
     engine.install(ServedModel(params=W, version=1, source="artifact"))
     with engine, ScoringServer(engine, ServerConfig()) as srv:
         yield srv
@@ -105,7 +105,7 @@ class TestProtocolErrors:
         assert server.engine.stats().errors == before + 1
 
     def test_cold_start_over_the_wire(self):
-        engine = ScoringEngine("lr", N, max_delay=0.001)  # no model installed
+        engine = ScoringEngine("lr", N)  # no model installed
         with engine, ScoringServer(engine) as srv:
             reply = request_once(
                 srv.host, srv.port, {"op": "score", "examples": [[0.0] * N]}
@@ -122,7 +122,7 @@ class TestFramingRegression:
 
     @pytest.fixture()
     def small_cap_server(self):
-        engine = ScoringEngine("lr", N, max_delay=0.001)
+        engine = ScoringEngine("lr", N)
         engine.install(ServedModel(params=W, version=1, source="artifact"))
         config = ServerConfig(max_line_bytes=1024)
         with engine, ScoringServer(engine, config) as srv:
