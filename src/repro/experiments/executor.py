@@ -34,7 +34,7 @@ serial path:
   dataset arrays are published once into read-only shared-memory
   segments every worker maps instead of re-generating
   (``repro.experiments.shared_data``), and reference optima are solved
-  once per (task, dataset) in the parent — persisted through the
+  once per (task, dataset) on the same workers — persisted through the
   result store — and shipped to workers in the payload.  All three are
   pure placement optimisations: the numbers are bit-identical with any
   of them disabled (``shared_data=False`` falls back to per-worker
@@ -218,7 +218,7 @@ def _execute_job(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 def _run_attempt(task: tuple[dict[str, Any], float], heartbeat) -> dict[str, Any]:
-    """One attempt of one job inside a pool worker (the pool's target).
+    """One attempt of one job inside a pool worker (a pool task).
 
     Injected kill/stall faults fire *before* the beat thread starts, so
     a stalled worker's heartbeat stays at the parent's dispatch stamp
@@ -493,9 +493,9 @@ class GridExecutor:
         if not to_run:
             return
         fan_out = ctx.keep_going or (ctx.jobs > 1 and len(to_run) > 1)
-        if fan_out or ctx.store is not None:
-            self._prepare_references(to_run, tel)
         if not fan_out:
+            if ctx.store is not None:
+                self._prepare_references(to_run, tel)
             # In-parent, the serial reference: grid faults are not
             # injected here (a cell-kill would take the parent down
             # with it) and a failing cell aborts the grid, with a
@@ -521,12 +521,13 @@ class GridExecutor:
             workers,
             shared=ctx.shared_data,
             specs=self._dataset_specs(to_run),
-            target=_run_attempt,
             descriptors=descriptors,
         )
         tel.count(keys.GRID_POOL_CREATED if created else keys.GRID_POOL_REUSED)
         tel.set_gauge(keys.GRID_POOL_WORKERS, workers)
         try:
+            # The pool is live: the reference members run on its workers.
+            self._prepare_references(to_run, tel)
             self._supervise(pool, to_run, tel, parent_span)
         except BaseException:
             # Warm reuse is for grids that ran to the end: any abort —
@@ -585,7 +586,7 @@ class GridExecutor:
             state.pids.append(worker.proc.pid)
             worker.heartbeat.value = time.time()
             try:
-                worker.conn.send((payload, beat_interval))
+                worker.conn.send((_run_attempt, (payload, beat_interval)))
             except OSError:
                 # The worker died while idle: its pipe reads EOF below
                 # and the loss is charged to this attempt as a crash.

@@ -18,11 +18,11 @@ We reproduce the protocol with a bounded budget: the reference for a
    constant-step iterate — standing in for the long tail of a full-day
    run.
 
-The constant-step members are mutually independent, so the sweep can
-fan them out over worker processes (``jobs`` argument, or the
-``REPRO_REFERENCE_JOBS`` environment variable); the members' loss
-trajectories are then *folded in the serial program order*, so the
-parallel sweep is bit-identical to the serial one.
+The constant-step members are independent tasks for the worker pool
+(:mod:`repro.utils.pool`): the live warm pool, else a transient pool of
+one worker per usable CPU; inline in a daemon or on one CPU.  Their
+trajectories are *folded in serial program order*, so the result is
+bit-identical wherever the members ran.
 
 Results are cached in-process and optionally on disk (set
 ``REPRO_CACHE_DIR``); the experiment harness reruns the same keys
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import tempfile
 from pathlib import Path
@@ -48,6 +49,7 @@ from ..models import make_model
 from ..models.base import Matrix, Model
 from ..models.mlp import MLP
 from ..utils.errors import DivergenceError
+from ..utils.pool import Pool
 from ..utils.rng import DEFAULT_SEED, derive_rng
 
 __all__ = [
@@ -169,46 +171,28 @@ def seed_reference_cache(entries: dict[str, float]) -> None:
     _CACHE.update(entries)
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_REFERENCE_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def reference_loss(
     model: Model,
     X: Matrix,
     y: np.ndarray,
     init_params: np.ndarray,
     key: str | None = None,
-    jobs: int | None = None,
 ) -> float:
     """Best loss achieved by the budgeted configuration sweep.
+
+    The members run on a worker pool where this process can fork; a
+    worker that dies mid-member raises :class:`~repro.utils.errors.WorkerError`.
 
     Parameters
     ----------
     key:
         Cache key (e.g. ``"lr/w8a/3000x300/seed0"``); ``None`` bypasses
         caching.
-    jobs:
-        Worker processes for the constant-step member sweep.  ``None``
-        reads ``REPRO_REFERENCE_JOBS`` (default 1 = serial).  The
-        result is bit-identical for every jobs value: members compute
-        the same trajectories either way and are folded in the serial
-        program order.
     """
-    if key is not None:
-        if key in _CACHE:
-            return _CACHE[key]
-        disk = _load_disk_cache()
-        if key in disk:
-            _CACHE[key] = disk[key]
-            return disk[key]
-
-    value = _protocol_reference(
-        model, X, y, init_params, jobs=_default_jobs() if jobs is None else jobs
-    )
+    cached = cached_reference(key) if key is not None else None
+    if cached is not None:
+        return cached
+    value = _protocol_reference(model, X, y, init_params)
     if key is not None:
         _CACHE[key] = value
         _store_disk_cache({key: value})
@@ -224,7 +208,7 @@ def reference_loss(
 # compared against the *global* best-so-far; `_fold_members` replays
 # exactly that serial reduction over the recorded trajectories, so the
 # final (best, best_w) is bit-identical to the historical interleaved
-# loop for any jobs count.
+# loop wherever the members ran.
 
 
 def _reference_schedule(model: Model) -> AsyncSchedule:
@@ -308,35 +292,36 @@ def _bgd_iterate_at(
     return w
 
 
-def _run_members(model, X, y, w0, jobs: int):
-    """Compute all constant-step members, serially or in a process pool."""
-    if jobs > 1:
-        try:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+def _pool_task(member_args, _heartbeat):
+    """A member as a pool task: called exactly as the inline loop calls it."""
+    member, *args = member_args
+    return member(*args)
 
-            if multiprocessing.current_process().daemon:
-                raise RuntimeError("daemonic process cannot fan out")
-            n_members = len(_SGD_STEPS) + len(_BGD_STEPS)
-            with ProcessPoolExecutor(max_workers=min(jobs, n_members)) as pool:
-                sgd_futs = [
-                    pool.submit(_sgd_member, model, X, y, w0, step)
-                    for step in _SGD_STEPS
-                ]
-                bgd_futs = [
-                    pool.submit(_bgd_member, model, X, y, w0, step)
-                    for step in _BGD_STEPS
-                ]
-                return (
-                    [f.result() for f in sgd_futs],
-                    [f.result() for f in bgd_futs],
-                )
-        except (OSError, RuntimeError):
-            pass  # no fork/spawn available (or nested pool): fall back
-    return (
-        [_sgd_member(model, X, y, w0, step) for step in _SGD_STEPS],
-        [_bgd_member(model, X, y, w0, step) for step in _BGD_STEPS],
-    )
+
+def _run_members(model, X, y, w0):
+    """Compute all constant-step members: inline in a daemon (it cannot
+    fork) or at width 1, else on the live pool or on a transient one."""
+    live = Pool.live
+    pool = live or Pool(min(len(_SGD_STEPS) + len(_BGD_STEPS), _usable_cpus()))
+    if multiprocessing.current_process().daemon or pool.jobs == 1:
+        return (
+            [_sgd_member(model, X, y, w0, step) for step in _SGD_STEPS],
+            [_bgd_member(model, X, y, w0, step) for step in _BGD_STEPS],
+        )
+    tasks = [(_pool_task, (_sgd_member, model, X, y, w0, s)) for s in _SGD_STEPS]
+    tasks += [(_pool_task, (_bgd_member, model, X, y, w0, s)) for s in _BGD_STEPS]
+    try:
+        replies = pool.map(tasks)
+    finally:
+        if pool is not live:
+            pool.close()
+    return replies[: len(_SGD_STEPS)], replies[len(_SGD_STEPS) :]
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fold_members(
@@ -374,13 +359,13 @@ def _fold_members(
 
 
 def _protocol_reference(
-    model: Model, X: Matrix, y: np.ndarray, w0: np.ndarray, jobs: int = 1
+    model: Model, X: Matrix, y: np.ndarray, w0: np.ndarray
 ) -> float:
     best = model.loss(X, y, w0)
 
     # Families 1 and 2: independent constant-step members, reduced in
     # serial order.
-    sgd_results, bgd_results = _run_members(model, X, y, w0, jobs)
+    sgd_results, bgd_results = _run_members(model, X, y, w0)
     best, winner = _fold_members(best, sgd_results, bgd_results)
 
     if winner is None:

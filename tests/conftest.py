@@ -6,6 +6,8 @@ schedules derive from fixed seeds, so failures reproduce exactly.
 
 from __future__ import annotations
 
+from multiprocessing.process import BaseProcess
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ def tiny_mlp_data():
 def lr_tiny(tiny_sparse):
     """(model, dataset) pair: LR on tiny w8a."""
     return make_model("lr", tiny_sparse), tiny_sparse
+
+
+@pytest.fixture()
+def started_processes(monkeypatch) -> list:
+    """Every process this process starts while the test runs."""
+    started: list = []
+    original = BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(BaseProcess, "start", start)
+    return started
 
 
 @pytest.fixture()

@@ -9,6 +9,7 @@ grids reuse one warm pool, and reference optima are solved once per
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ def shm_segments() -> set[str]:
         return {p for p in os.listdir("/dev/shm") if p.startswith("psm_")}
     except FileNotFoundError:  # non-Linux: no listable shm mount
         return set()
+
+
+@pytest.fixture()
+def bench_environment(monkeypatch):
+    """The environment ``python3 -m bench run`` exports to the program."""
+    from bench import harness
+
+    before = dict(os.environ)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    harness.prepare_environment()
+    exported = {k: v for k, v in os.environ.items() if before.get(k) != v}
+    os.environ.clear()
+    os.environ.update(before)
+    for name, value in exported.items():
+        monkeypatch.setenv(name, value)
 
 
 @pytest.fixture(autouse=True)
@@ -226,6 +242,19 @@ class TestWarmPool:
         pids = {r["worker_pid"] for r in second.cell_records}
         assert len(pids) == 2  # the survivor and the replacement
         assert len(pids & first_pids) == 1
+
+    def test_cold_grid_starts_only_its_own_workers(
+        self, bench_environment, tmp_path, monkeypatch, started_processes
+    ):
+        """Reference solves included, a cold jobs=2 grid over two
+        (task, dataset) pairs starts its 2 workers and no other process:
+        the members run on the grid's own pool."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_reference_cache()
+        tel = Telemetry()
+        GridExecutor(make_ctx(jobs=2, telemetry=tel)).execute(async_cells())
+        assert tel.counters()[keys.GRID_REFERENCE_COMPUTED] == len(DATASETS)
+        assert len(started_processes) == 2
 
     def test_job_count_change_rebuilds_pool(self):
         GridExecutor(make_ctx(jobs=2)).execute(async_cells())

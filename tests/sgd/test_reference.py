@@ -1,12 +1,47 @@
 """Tests for the budgeted reference-loss protocol."""
 
+import glob
+import multiprocessing as mp
+from multiprocessing.process import BaseProcess
+
 import numpy as np
 import pytest
 
+from repro.experiments import shutdown_grid_pool
+from repro.experiments.pool import acquire_pool
 from repro.models import make_model
-from repro.sgd import reference_loss
+from repro.sgd import reference as refmod
+from repro.sgd import reference_loss, train
 from repro.sgd.reference import clear_reference_cache
 from repro.utils import derive_rng
+from repro.utils.pool import Pool
+
+
+def _same(a, b) -> bool:
+    """Bit-for-bit equality of member results (floats, lists, arrays)."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and (
+            a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _solve_counting_starts(problem, _heartbeat):
+    """Pool task: a reference solve, and how many processes it started."""
+    started = []
+    original = BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    BaseProcess.start = start
+    try:
+        return reference_loss(*problem), len(started)
+    finally:
+        BaseProcess.start = original
 
 
 @pytest.fixture()
@@ -56,19 +91,60 @@ class TestReferenceLoss:
         ref = reference_loss(model, ds.X, ds.y, init, key="t/corrupt")
         assert np.isfinite(ref)
 
-    def test_parallel_jobs_bit_identical(self, lr_setup):
-        """The member sweep folds in serial order: any jobs count gives
-        exactly the serial value."""
-        model, ds, init = lr_setup
-        serial = reference_loss(model, ds.X, ds.y, init, jobs=1)
-        parallel = reference_loss(model, ds.X, ds.y, init, jobs=3)
-        assert parallel == serial
+    @pytest.mark.parametrize("task", ["lr", "svm", "mlp"])
+    def test_pooled_members_equal_inline(
+        self, task, tiny_sparse, tiny_mlp_data, monkeypatch, started_processes
+    ):
+        """Where the members run is placement only: on a transient pool
+        and on the live warm pool they equal the inline loop bit for bit."""
+        ds = tiny_mlp_data if task == "mlp" else tiny_sparse
+        model = make_model(task, ds)
+        problem = (model, ds.X, ds.y, model.init_params(derive_rng(0, "init")))
+        shutdown_grid_pool()
+        with monkeypatch.context() as m:
+            m.setattr(refmod, "_usable_cpus", lambda: 1)
+            inline = refmod._run_members(*problem)
+        assert not started_processes
 
-    def test_jobs_env_default(self, lr_setup, monkeypatch):
+        width = min(6, refmod._usable_cpus())
+        assert _same(refmod._run_members(*problem), inline)
+        assert len(started_processes) == (width if width > 1 else 0)
+        assert mp.active_children() == []  # the transient pool is gone
+
+        warm, _created = acquire_pool(2, shared=False, specs=(), descriptors=())
+        try:
+            assert _same(refmod._run_members(*problem), inline)
+            assert len(warm.workers) == 2  # the members forked the warm pool
+        finally:
+            shutdown_grid_pool()
+
+    def test_solve_inside_a_daemon_starts_no_process(self, lr_setup):
+        """A pool worker is a daemon and cannot fork: a solve there runs
+        its members inline and gets the same value."""
         model, ds, init = lr_setup
-        serial = reference_loss(model, ds.X, ds.y, init, jobs=1)
-        monkeypatch.setenv("REPRO_REFERENCE_JOBS", "2")
-        assert reference_loss(model, ds.X, ds.y, init) == serial
+        problem = (model, ds.X, ds.y, init)
+        pool = Pool(1)
+        try:
+            [(value, started)] = pool.map([(_solve_counting_starts, problem)])
+        finally:
+            pool.close()
+        assert started == 0
+        assert value == reference_loss(*problem)
+
+    def test_lone_train_leaves_no_process(
+        self, tmp_path, monkeypatch, started_processes
+    ):
+        """A cold run's reference solve forks a transient pool and leaves
+        no child process or shared-memory segment behind."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        shutdown_grid_pool()
+        clear_reference_cache()
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        train("lr", "w8a", scale="tiny", max_epochs=2, seed=4242)
+        if refmod._usable_cpus() > 1:
+            assert started_processes  # the members ran on a pool
+        assert mp.active_children() == []
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
 
     def test_disk_cache_merges_concurrent_entries(
         self, lr_setup, tmp_path, monkeypatch

@@ -77,3 +77,47 @@ def test_callers_import_only_what_exists(path):
         if name is not None and not hasattr(module, name):
             # ``from package import submodule``
             importlib.import_module(f"{module_name}.{name}")
+
+
+def _source_trees():
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text("utf-8"))
+
+
+def _imported(tree):
+    """Dotted names *tree* imports, plus any ``<context>.Pool`` it reaches."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and node.attr == "Pool":
+            yield "multiprocessing.Pool"  # mp.Pool, ctx.Pool
+
+
+def test_one_process_pool():
+    """``repro.utils.pool`` is the one pool implementation: no module
+    reaches for the standard library's executors or ``multiprocessing``'s
+    ``Pool``."""
+    second = ("concurrent", "multiprocessing.pool", "multiprocessing.Pool")
+    found = [
+        f"{name}: {imported}"
+        for name, tree in _source_trees()
+        for imported in _imported(tree)
+        if imported.startswith(second)
+    ]
+    assert found == []
+
+
+def test_only_cache_dir_is_read_from_the_environment():
+    """No ``REPRO_*`` switch changes how the package runs; the cache
+    location is the one setting taken from the environment."""
+    names = {
+        node.value
+        for _name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("REPRO_")
+    }
+    assert names == {"REPRO_CACHE_DIR"}
