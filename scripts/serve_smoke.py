@@ -13,7 +13,13 @@ The full loop, with real processes and real sockets:
 4. shut the server down over the socket and assert the serving manifest
    carries the ``serve.*`` telemetry keys and a clean exit;
 5. re-serve the exported model artifact (``repro serve --model``) and
-   check one scored margin against the artifact's own parameters.
+   check scored margins against NumPy ``X.w`` on the artifact's own
+   parameters.
+
+Every canned request is sent throughout: the well-formed ones (sparse,
+unsorted sparse, ``(indices, values)`` pairs, dense, mixed in one
+request) must be answered, the malformed ones (a duplicate index, a
+``NaN``) refused with a non-retriable error naming the problem.
 
 Exit code 0 means every step held.  The script is deliberately
 assert-heavy and chatty: it is the CI step named ``serve-smoke``.
@@ -37,21 +43,51 @@ _SRC = ROOT / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+import numpy as np  # noqa: E402
+
 from repro.serving import request_once  # noqa: E402
 
+#: One request mixing every accepted form: an unsorted sparse example,
+#: an ``(indices, values)`` pair and a dense one.
+MIXED_REQUEST = {
+    "op": "score",
+    "examples": [
+        {"indices": [17, 0, 5], "values": [1.0, -2.0, 0.5]},
+        [[3, 1], [0.25, 4.0]],
+        [0.0] * 290 + [1.5] + [0.0] * 8 + [-0.75],
+    ],
+}
+
+#: ``(request, refusal)``: ``refusal`` is None for a request that must be
+#: answered, else text the non-retriable error's message must contain.
 CANNED_REQUESTS = [
-    {
-        "op": "score",
-        "examples": [{"indices": [0, 5, 17], "values": [1.0, 1.0, 1.0]}],
-    },
-    {
-        "op": "score",
-        "examples": [
-            {"indices": [2], "values": [2.5]},
-            {"indices": [1, 3], "values": [-1.0, 0.5]},
-        ],
-    },
-    {"op": "score", "examples": [[0.0] * 300]},
+    (
+        {
+            "op": "score",
+            "examples": [{"indices": [0, 5, 17], "values": [1.0, 1.0, 1.0]}],
+        },
+        None,
+    ),
+    (
+        {
+            "op": "score",
+            "examples": [
+                {"indices": [2], "values": [2.5]},
+                {"indices": [1, 3], "values": [-1.0, 0.5]},
+            ],
+        },
+        None,
+    ),
+    ({"op": "score", "examples": [[0.0] * 300]}, None),
+    (MIXED_REQUEST, None),
+    (
+        {"op": "score", "examples": [{"indices": [4, 4], "values": [1.0, 1.0]}]},
+        "example 0: duplicate feature index 4",
+    ),
+    (
+        {"op": "score", "examples": [{"indices": [0], "values": [float("nan")]}]},
+        "example 0: feature values must be finite",
+    ),
 ]
 
 
@@ -83,7 +119,7 @@ def _score_until_ok(host: str, port: int, deadline_s: float = 60.0) -> dict:
     """Poll with the canned request, tolerating only retriable errors."""
     deadline = time.time() + deadline_s
     while True:
-        reply = request_once(host, port, CANNED_REQUESTS[0])
+        reply = request_once(host, port, CANNED_REQUESTS[0][0])
         if reply.get("ok"):
             return reply
         err = reply["error"]
@@ -91,6 +127,27 @@ def _score_until_ok(host: str, port: int, deadline_s: float = 60.0) -> dict:
         assert err["type"] == "snapshot-unavailable", err
         assert time.time() < deadline, "server never left cold start"
         time.sleep(0.05)
+
+
+def _assert_refused(reply: dict, refusal: str) -> None:
+    """A malformed request gets a structured, non-retriable error."""
+    assert reply.get("ok") is False, f"malformed request was answered: {reply}"
+    err = reply["error"]
+    assert err["retriable"] is False, err
+    assert refusal in err["message"], (refusal, err)
+
+
+def _numpy_margins(examples: list, params: np.ndarray) -> np.ndarray:
+    """X.w with X built from the examples in plain NumPy."""
+    X = np.zeros((len(examples), params.shape[0]))
+    for i, example in enumerate(examples):
+        if isinstance(example, dict):
+            X[i, example["indices"]] = example["values"]
+        elif len(example) == 2:
+            X[i, example[0]] = example[1]
+        else:
+            X[i] = example
+    return X @ params
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,8 +207,11 @@ def main(argv: list[str] | None = None) -> int:
 
     versions = {first["model_version"]}
     while trainer.poll() is None:
-        for req in CANNED_REQUESTS:
+        for req, refusal in CANNED_REQUESTS:
             reply = request_once(host, port, req)
+            if refusal is not None:
+                _assert_refused(reply, refusal)
+                continue
             if not reply.get("ok"):
                 assert reply["error"]["retriable"], reply
                 continue
@@ -169,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     print("3. trainer gone; last snapshot must still serve ...", flush=True)
-    reply = request_once(host, port, CANNED_REQUESTS[0])
+    reply = request_once(host, port, CANNED_REQUESTS[0][0])
     assert reply["ok"], reply
     stats = request_once(host, port, {"op": "stats"})["stats"]
     assert stats["hot_swaps"] >= 1, stats
@@ -213,13 +273,18 @@ def main(argv: list[str] | None = None) -> int:
     print("5. serving the exported artifact ...", flush=True)
     artifact_server = _spawn(["serve", "--model", str(model), "--no-watch"])
     host, port = _server_address(artifact_server)
-    reply = request_once(host, port, CANNED_REQUESTS[0])
-    assert reply["ok"] and reply["model_source"] == "artifact", reply
     doc = json.loads(model.read_text())
-    params = [float(v) for v in doc["results"][0]["params"]]
-    expected = params[0] + params[5] + params[17]
-    got = reply["results"][0]["margin"]
-    assert abs(got - expected) < 1e-9, (got, expected)
+    params = np.array([float(v) for v in doc["results"][0]["params"]])
+    for req, refusal in CANNED_REQUESTS:
+        reply = request_once(host, port, req)
+        if refusal is not None:
+            _assert_refused(reply, refusal)
+            continue
+        assert reply["ok"] and reply["model_source"] == "artifact", reply
+        got = np.array([r["margin"] for r in reply["results"]])
+        want = _numpy_margins(req["examples"], params)
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (got, want)
+    print("   canned requests match NumPy X.w; malformed ones refused", flush=True)
     assert request_once(host, port, {"op": "shutdown"})["ok"]
     artifact_server.communicate(timeout=30)
     assert artifact_server.returncode == 0

@@ -6,9 +6,12 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.serving.engine as engine_module
 from repro.datasets import load
+from repro.linalg.csr import CSRMatrix
 from repro.models import LinearSVM, LogisticRegression
 from repro.serving import (
     ArtifactSource,
@@ -42,20 +45,20 @@ def _gate(eng):
     Everything submitted meanwhile is queued when the batcher next
     drains, so which requests share a batch is fixed by the test, not
     by thread timing.  Returns ``(entered, release, sizes)``: ``sizes``
-    lists the row count of every batch scored, in order.
+    lists the example count of every batch scored, in order.
     """
     entered, release = threading.Event(), threading.Event()
     sizes = []
-    score_rows = eng._score_rows
+    score_block = eng._score_block
 
-    def gated(rows, model):
-        sizes.append(len(rows))
+    def gated(X, model):
+        sizes.append(X.n_rows)
         if len(sizes) == 1:
             entered.set()
             assert release.wait(10), "test never released the gate"
-        return score_rows(rows, model)
+        return score_block(X, model)
 
-    eng._score_rows = gated
+    eng._score_block = gated
     return entered, release, sizes
 
 
@@ -131,6 +134,135 @@ class TestScoring:
             eng.score([[0.0] * N])
         assert exc.value.reason == "cold-start"
         assert exc.value.retriable
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"indices": [0], "values": [float("nan")]},
+            {"indices": [3, 1], "values": [1.0, float("inf")]},
+            [0.0, float("-inf"), 0.0, 0.0, 0.0, 0.0],
+            ([2], [None]),  # NumPy reads None as NaN
+        ],
+    )
+    def test_non_finite_features_are_rejected(self, bad):
+        with pytest.raises(DataFormatError, match="^example 1: .*finite"):
+            _engine().score([[1.0] * N, bad])
+
+
+# -- the request parser, against a per-example NumPy oracle ---------------
+
+D = 9
+W_D = np.random.default_rng(11).standard_normal(D)
+
+
+def _engine_d():
+    eng = ScoringEngine("lr", D)
+    eng.install(ServedModel(params=W_D, version=1, source="artifact"))
+    return eng
+
+
+@st.composite
+def _example(draw):
+    """One example in any accepted form, with its oracle ``(indices, values)``."""
+    cols = draw(st.lists(st.integers(0, D - 1), unique=True, max_size=D))
+    vals = draw(
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=len(cols),
+            max_size=len(cols),
+        )
+    )
+    form = draw(st.sampled_from(["dense", "numpy", "dict", "pair"]))
+    if form in ("dense", "numpy"):
+        row = np.zeros(D)
+        row[cols] = vals
+        example = row if form == "numpy" else row.tolist()
+        keep = np.flatnonzero(row)
+        return example, (keep, row[keep])
+    if form == "dict":  # indices in the drawn (unsorted) order
+        example = {"indices": cols, "values": vals}
+    else:
+        pair = (cols, vals)
+        if draw(st.booleans()):
+            pair = (np.array(cols, dtype=np.int64), np.array(vals))
+        example = pair if draw(st.booleans()) else list(pair)
+    order = np.argsort(np.asarray(cols, dtype=np.int64), kind="stable")
+    return example, (np.asarray(cols, dtype=np.int64)[order], np.asarray(vals)[order])
+
+
+_MALFORMED = [
+    [1.0] * (D + 1),  # dense, wrong width
+    [[1.0] * D],  # dense, not flat
+    "nonsense",
+    {"indices": [D], "values": [1.0]},  # index out of range
+    {"indices": [-1], "values": [1.0]},
+    {"indices": [4, 2, 4], "values": [1.0, 2.0, 3.0]},  # duplicate index
+    {"indices": [1, 2], "values": [1.0]},  # length mismatch
+    {"indices": [1]},  # missing values
+    {"indices": 3, "values": 1.0},  # not sequences
+    {"indices": [0], "values": ["x"]},
+    ([[1]], [[1.0]]),  # nested
+    {"indices": [0], "values": [float("nan")]},
+    [float("inf")] + [0.0] * (D - 1),
+]
+
+_requests = st.lists(_example(), min_size=1, max_size=70)
+
+
+class TestRequestParser:
+    """``_parse_examples`` turns a request into one CSR block; every
+    example's row must equal what a per-example NumPy parse gives."""
+
+    @given(_requests)
+    @settings(max_examples=60, deadline=None)
+    def test_block_rows_and_margins_match_the_oracle(self, drawn):
+        examples = [example for example, _ in drawn]
+        oracle = [rows for _, rows in drawn]
+        eng = _engine_d()
+        block = eng._parse_examples(examples)
+        assert block.n == len(examples)
+        assert block.indices.dtype == np.int32 and block.data.dtype == np.float64
+        for i, (idx, val) in enumerate(oracle):
+            lo, hi = block.indptr[i], block.indptr[i + 1]
+            np.testing.assert_array_equal(block.indices[lo:hi], idx)
+            np.testing.assert_array_equal(block.data[lo:hi], val)
+        want_X = CSRMatrix.from_rows(oracle, D)
+        if want_X.density > 0.5:
+            want = want_X.to_dense() @ W_D
+        else:
+            want = want_X.matvec(W_D)
+        got = np.array([r.margin for r in eng.score(examples).results])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", _MALFORMED)
+    @given(drawn=_requests, data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_one_malformed_example_rejects_the_request(self, bad, drawn, data):
+        examples = [example for example, _ in drawn]
+        at = data.draw(st.integers(0, len(examples) - 1), label="position")
+        examples[at] = bad
+        with pytest.raises(DataFormatError, match=rf"^example {at}: "):
+            _engine_d()._parse_examples(examples)
+
+    @given(st.lists(_requests, min_size=2, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_blocks_equal_one_parse(self, requests):
+        eng = _engine_d()
+        parts = [[example for example, _ in drawn] for drawn in requests]
+        stacked = eng._stack([eng._parse_examples(p) for p in parts])
+        whole = eng._stack([eng._parse_examples([e for p in parts for e in p])])
+        assert stacked.shape == whole.shape
+        np.testing.assert_array_equal(stacked.indptr, whole.indptr)
+        np.testing.assert_array_equal(stacked.indices, whole.indices)
+        np.testing.assert_array_equal(stacked.data, whole.data)
+
+    def test_parse_example_is_a_one_example_request(self):
+        eng = _engine_d()
+        idx, val = eng.parse_example({"indices": [5, 0, 2], "values": [1.5, -2, 0.0]})
+        assert idx.dtype == np.int32
+        assert idx.tolist() == [0, 2, 5] and val.tolist() == [-2.0, 0.0, 1.5]
+        with pytest.raises(DataFormatError, match="^example 0: duplicate"):
+            eng.parse_example(([1, 1], [1.0, 1.0]))
 
 
 class TestHotSwap:

@@ -97,6 +97,31 @@ class TestProtocolErrors:
         assert reply["error"]["type"]
         assert reply["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"op": "score", "examples": [{"indices": [0], "values": [NaN]}]}',
+            b'{"op": "score", "examples": [{"indices": [2, 1], "values": [1.0, Infinity]}]}',
+            b'{"op": "score", "examples": [[1.0, 0.0, 0.0, 0.0], [0.0, -Infinity, 0.0, 0.0]]}',
+        ],
+    )
+    def test_non_finite_features_are_rejected(self, server, raw):
+        """Python's json reads NaN and Infinity; the engine must refuse
+        them, not answer a NaN margin with a confident label in a reply
+        that is no longer JSON."""
+        def refuse(constant):
+            raise AssertionError(f"reply carries the non-JSON constant {constant}")
+
+        reply, stop = server.dispatch(raw)
+        reply = json.loads(json.dumps(reply), parse_constant=refuse)
+        assert not stop
+        assert reply["ok"] is False
+        assert reply["error"]["retriable"] is False
+        assert "must be finite" in reply["error"]["message"]
+        # and the next request on the same server is served normally
+        ok, _ = server.dispatch(b'{"op": "score", "examples": [[1.0, 0.0, 0.0, 1.0]]}')
+        assert json.loads(json.dumps(ok), parse_constant=refuse)["ok"] is True
+
     def test_client_errors_are_counted(self, server):
         before = server.engine.stats().errors
         with socket.create_connection((server.host, server.port), timeout=10) as sock:
