@@ -654,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="--backend ps: directory for the server's versioned shard "
-        "checkpoints; enables epoch-boundary checkpointing and (with "
-        "server faults or --ps-server-process) crash-restart failover",
+        "checkpoints; enables epoch-boundary checkpointing and (under "
+        "--max-restarts) crash-restart failover of the shard server",
     )
     p.add_argument(
         "--ps-checkpoint-every",
@@ -674,14 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEC",
         help="--backend ps: background checkpoint every SEC seconds "
         "since the last write (requires --ps-checkpoint-dir)",
-    )
-    p.add_argument(
-        "--ps-server-process",
-        dest="server_process",
-        action="store_true",
-        help="--backend ps: run the shard server in its own supervised "
-        "process (the failover-capable topology; forced on when the "
-        "fault plan carries server-kill/server-stall)",
     )
     p.add_argument(
         "--inject-fault",

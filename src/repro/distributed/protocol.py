@@ -77,17 +77,20 @@ Message types
 
 Control plane (parent -> server)
 --------------------------------
-When the shard server runs in its own *process* (crash-restart
-failover mode), the training parent speaks to it over the same framed
-wire on a dedicated connection — no HELLO, no registration, and none
-of these frames participate in the ``ps.bytes_*`` accounting (they are
-supervision, not training traffic):
+The shard server runs in its own *process*, and the training parent
+speaks to it over the same framed wire on a dedicated connection — no
+HELLO, no registration, and none of these frames participate in the
+``ps.bytes_*`` accounting (they are supervision, not training traffic):
 
 ``CTRL_STATUS``
     Liveness probe + state poll; answered with a JSON payload carrying
     the worker registry (clocks, epochs done), counters, and the
     released epoch.  A probe that times out is the parent's signal to
-    declare the server dead and fail over.
+    declare the server dead and fail over.  With ``clock > 0`` it is
+    the parent's epoch wait: the server answers once every expected
+    worker has finished epoch ``clock``, a connection closes, or
+    ``ident`` milliseconds pass, and the payload's ``epoch_reached``
+    says which.
 ``CTRL_RELEASE``
     ``release_epoch(clock, stop=bool(ident))``; acked.
 ``CTRL_SNAPSHOT``

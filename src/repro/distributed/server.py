@@ -39,7 +39,7 @@ parameter server rather than a plain key-value store:
 Epoch alignment mirrors the shm backend's barriers: a worker that
 finishes its pass sends ``EPOCH_DONE`` and blocks on the reply; the
 parent waits until every live worker has arrived
-(:meth:`ShardServer.epoch_reached`), evaluates the loss on a quiescent
+(:meth:`ShardServer.wait_epoch`), evaluates the loss on a quiescent
 snapshot, then :meth:`releases <ShardServer.release_epoch>` the next
 epoch — at which point every handler sends its ``EPOCH_ACK``.  All
 pushes of a worker precede its ``EPOCH_DONE`` on the same ordered TCP
@@ -85,7 +85,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -187,6 +187,10 @@ class ShardServer:
         #: Pulls currently blocked at the staleness gate — the only
         #: waiters a push needs to wake.
         self._gate_waiters = 0
+        #: Connections closed so far: a change ends a pending
+        #: :meth:`wait_epoch` early, so the parent's watchdog looks at
+        #: its node processes at once.
+        self._departures = 0
         #: Last known work-item clock of each worker id that is not
         #: currently connected — fed by disconnects and checkpoint
         #: restores, consumed by mid-run reconnect HELLOs.
@@ -679,6 +683,7 @@ class ShardServer:
                     del self._workers[record.worker_id]
                 if not clean and not self._closing:
                     self.counters[keys.PS_DEAD_WORKERS_REAPED] += 1
+            self._departures += 1
             self._cv.notify_all()
         try:
             conn.close()
@@ -691,8 +696,14 @@ class ShardServer:
         """Serve one supervision frame; returns True on CTRL_SHUTDOWN."""
         t = frame.msg_type
         if t == wire.MSG_CTRL_STATUS:
+            # The waiting form (clock > 0) answers once every expected
+            # worker finished epoch ``clock``, a connection closes, or
+            # ``ident`` milliseconds pass.
+            reached = None
+            if frame.clock:
+                reached = self.wait_epoch(frame.clock, frame.ident / 1000.0)
             wire.send_frame(
-                conn, wire.MSG_CTRL_STATUS, payload=self._status_payload()
+                conn, wire.MSG_CTRL_STATUS, payload=self._status_payload(reached)
             )
         elif t == wire.MSG_CTRL_RELEASE:
             self.release_epoch(frame.clock, stop=bool(frame.ident))
@@ -724,10 +735,11 @@ class ShardServer:
             return True
         return False
 
-    def _status_payload(self) -> bytes:
+    def _status_payload(self, epoch_reached: bool | None) -> bytes:
         """JSON state for the parent's liveness probe + counter polls."""
         with self._cv:
             state = {
+                "epoch_reached": epoch_reached,
                 "released_epoch": self._released_epoch,
                 "expected": self._expected,
                 "faults_reported": self.faults_reported,
@@ -817,19 +829,30 @@ class ShardServer:
 
     # -- parent-side control -----------------------------------------------
 
-    def epoch_reached(self, epoch: int) -> bool:
+    def _epoch_reached(self, epoch: int) -> bool:
         """All ``expected`` workers are registered and have finished
-        *epoch* (dead workers disqualify the predicate — the parent's
-        watchdog turns that into a recovery action)."""
-        with self._mu:
-            if len(self._workers) < self._expected:
-                return False
-            return all(r.epoch_done >= epoch for r in self._workers.values())
+        *epoch*.  Caller holds ``_cv``."""
+        if len(self._workers) < self._expected:
+            return False
+        return all(r.epoch_done >= epoch for r in self._workers.values())
 
-    def wait_epoch_tick(self, timeout: float) -> None:
-        """Block up to *timeout* for barrier progress (watchdog slice)."""
+    def wait_epoch(self, epoch: int, timeout: float) -> bool:
+        """Block up to *timeout* seconds until every ``expected`` worker
+        has finished *epoch*; returns whether they have.
+
+        A closing connection ends the wait early, so the parent's
+        watchdog sees a dead node at once; a dead worker never satisfies
+        the predicate — the watchdog turns it into a recovery action.
+        """
         with self._cv:
-            self._cv.wait(timeout)
+            departures = self._departures
+            self._cv.wait_for(
+                lambda: self._closing
+                or self._departures != departures
+                or self._epoch_reached(epoch),
+                timeout,
+            )
+            return self._epoch_reached(epoch)
 
     def release_epoch(self, epoch: int, *, stop: bool = False) -> None:
         """Let every worker waiting on the barrier start *epoch* (or,
@@ -881,18 +904,6 @@ class ShardServer:
         finally:
             for lock in reversed(self._locks):
                 lock.release()
-
-    def describe(self) -> dict[str, Any]:
-        """Manifest-friendly shard layout."""
-        return {
-            "shards": self.n_shards,
-            "bounds": [[lo, hi] for lo, hi in self._bounds],
-            "max_staleness": self.max_staleness,
-            "address": f"{self.host}:{self.port}",
-            "checkpoint_dir": (
-                self._ckpt_policy.dir if self._ckpt_policy is not None else None
-            ),
-        }
 
     def close(self) -> None:
         """Stop accepting, wake every blocked handler, close all sockets.

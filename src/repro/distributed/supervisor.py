@@ -1,40 +1,36 @@
 """Crash-restart supervision of the shard server.
 
-The parameter-server tier used to have exactly one unsurvivable
-component: the server itself.  This module removes that asymmetry by
-giving the training parent two implementations of one server surface
-(the parent-side control methods, ``release_epoch`` through ``close``):
+The shard server (:class:`~repro.distributed.server.ShardServer`)
+always runs in its **own process** (:func:`server_main`), so the
+parameter-server tier has no unsurvivable component.  The training
+parent holds a :class:`RemoteServerHandle` and drives the server over
+the framed control plane (``CTRL_*`` messages on a dedicated
+connection).  Every control round-trip doubles as a liveness probe: a
+server that crashed (``server-kill``, a real ``SIGKILL``) drops the
+control socket, a server that wedged (``server-stall``) times the probe
+out — both surface as one structured
+:class:`~repro.utils.errors.ServerDiedError`, and the parent's answer
+to both is the same **crash-restart failover**: respawn a fresh server
+seeded from the newest valid checkpoint
+(:meth:`RemoteServerHandle.respawn`), publish the new port through the
+shared cell every worker re-reads on redial, and let the workers heal
+themselves via mid-run reconnect.
 
-:class:`~repro.distributed.server.ShardServer` itself
-    The default: the server lives in the parent process and the parent
-    holds it directly — every control call is a method call.  Zero
-    overhead, zero new failure modes.
+The parent's epoch wait is the waiting form of ``CTRL_STATUS``: the
+server answers as soon as every expected worker has finished the epoch
+or a connection closes, and otherwise when the watchdog's slice runs
+out (:meth:`RemoteServerHandle.wait_epoch`).
 
-:class:`RemoteServerHandle`
-    The server runs in its **own process** (:func:`server_main`) and
-    the parent supervises it over the framed control plane
-    (``CTRL_*`` messages on a dedicated connection).  Every control
-    round-trip doubles as a liveness probe: a server that crashed
-    (``server-kill``, a real ``SIGKILL``) drops the control socket, a
-    server that wedged (``server-stall``) times the probe out — both
-    surface as one structured
-    :class:`~repro.utils.errors.ServerDiedError`, and the parent's
-    answer to both is the same **crash-restart failover**: respawn a
-    fresh server seeded from the newest valid checkpoint
-    (:meth:`RemoteServerHandle.respawn`), publish the new port through
-    the shared cell every worker re-reads on redial, and let the
-    workers heal themselves via mid-run reconnect.
-
-Counters survive the crash by *folding*: the handle keeps the last
-state snapshot from its ~100 ms status polls, and on respawn folds the
-dead generation's last-seen counters into an accumulated base — so
-``ps.pushes`` et al. in the final manifest cover every generation,
-minus at most one poll interval of a killed server (best effort by
-construction: SIGKILL flushes nothing).
+Counters survive the crash by *folding*: the handle keeps the state
+snapshot of every status reply (at least one per watchdog slice while
+an epoch runs), and on respawn folds the dead generation's last-seen
+counters into an accumulated base — so ``ps.pushes`` et al. in the
+final manifest cover every generation, minus at most one slice of a
+killed server (best effort by construction: SIGKILL flushes nothing).
 
 The handle also measures **time-to-repair**: the wall seconds from
 failover detection to the first post-respawn push observed by a status
-poll — the paper-shaped robustness metric the bench snapshot records
+reply — the paper-shaped robustness metric the bench snapshot records
 (``ps.time_to_repair_seconds``).
 """
 
@@ -290,8 +286,13 @@ class RemoteServerHandle:
             raise self._mark_dead(phase, None)
         return reply
 
-    def _status(self) -> dict[str, Any]:
-        reply = self._roundtrip(wire.MSG_CTRL_STATUS, phase="probe")
+    def _status(self, epoch: int = 0, wait: float = 0.0) -> dict[str, Any]:
+        reply = self._roundtrip(
+            wire.MSG_CTRL_STATUS,
+            ident=min(int(wait * 1000), 0xFFFF),
+            clock=epoch,
+            phase="probe",
+        )
         status = json.loads(reply.payload.decode("utf-8"))
         self._last_counters = dict(status.get("counters", {}))
         self._last_faults = int(status.get("faults_reported", 0))
@@ -308,16 +309,16 @@ class RemoteServerHandle:
 
     # -- the handle surface --------------------------------------------------
 
-    def epoch_reached(self, epoch: int) -> bool:
-        status = self._status()
-        workers = status.get("workers", {})
-        if len(workers) < int(status.get("expected", self._expected)):
-            return False
-        return all(int(w["epoch_done"]) >= epoch for w in workers.values())
+    def wait_epoch(self, epoch: int, timeout: float) -> bool:
+        """Block up to *timeout* seconds until every expected worker has
+        finished *epoch*; returns whether they have.
 
-    def wait_epoch_tick(self, timeout: float) -> None:
-        # The status poll itself paces the watchdog loop (~100 ms).
-        time.sleep(min(timeout, 0.1))
+        The server does the waiting and answers early when a connection
+        closes.  The slice is capped at half the probe timeout, so a
+        live server always answers before the probe gives up on it.
+        """
+        wait = min(timeout, self._probe_timeout / 2)
+        return bool(self._status(epoch, wait)["epoch_reached"])
 
     def release_epoch(self, epoch: int, *, stop: bool = False) -> None:
         self._roundtrip(
@@ -349,17 +350,6 @@ class RemoteServerHandle:
             wire.MSG_CTRL_CHECKPOINT, ident=int(boundary), phase="checkpoint"
         )
         return reply.payload.decode("utf-8") or None
-
-    def describe(self) -> dict[str, Any]:
-        return {
-            "shards": self._shards,
-            "max_staleness": self._max_staleness,
-            "address": f"{self.host}:{self.port}",
-            "checkpoint_dir": (
-                self._checkpoint.dir if self._checkpoint is not None else None
-            ),
-            "server_process": True,
-        }
 
     @property
     def counters(self) -> dict[str, float]:

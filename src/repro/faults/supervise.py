@@ -93,7 +93,8 @@ class Backend(Protocol):
         """Release everything the backend owns."""
 
     def failover(self, epoch: int, err: ServerDiedError) -> None:
-        """Replace the lost server so *epoch* can be replayed."""
+        """Replace the lost server so *epoch* can be replayed, or
+        re-raise *err* when there is nothing to restore it from."""
 
 
 @dataclass(kw_only=True)

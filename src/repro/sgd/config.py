@@ -200,8 +200,8 @@ class RunConfig:
         regime; ``0`` is lock-step.  ps only.
     checkpoint_dir:
         ps backend: directory for the server's versioned shard
-        checkpoints.  Enables epoch-boundary checkpointing and — with
-        server faults or ``server_process`` — crash-restart failover.
+        checkpoints.  Enables epoch-boundary checkpointing and, under
+        ``max_restarts``, crash-restart failover of the shard server.
         ps only.
     checkpoint_every:
         ps backend: background-checkpoint trigger in pushes since the
@@ -209,10 +209,6 @@ class RunConfig:
     checkpoint_seconds:
         ps backend: background-checkpoint trigger in seconds since the
         last write (requires ``checkpoint_dir``).  ps only.
-    server_process:
-        ps backend: run the shard server in its own supervised process
-        (the failover-capable topology); forced on automatically when
-        the fault plan carries server-level kinds.  ps only.
     epoch_timeout:
         Measured backends: seconds the parent waits for an epoch
         barrier before declaring the run dead (default 120).
@@ -250,7 +246,6 @@ class RunConfig:
     checkpoint_dir: str | None = None
     checkpoint_every: int | None = None
     checkpoint_seconds: float | None = None
-    server_process: bool = False
     epoch_timeout: float | None = None
     fault_plan: FaultPlan | None = None
     max_restarts: int = 0
@@ -336,7 +331,6 @@ class RunConfig:
                     "checkpoint_dir",
                     "checkpoint_every",
                     "checkpoint_seconds",
-                    "server_process",
                 ),
                 "configure the ps backend; pass backend='ps'",
             )

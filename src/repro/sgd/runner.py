@@ -413,10 +413,9 @@ def run(
                     checkpoint_dir=config.checkpoint_dir,
                     checkpoint_every=config.checkpoint_every,
                     checkpoint_seconds=config.checkpoint_seconds,
-                    server_process=config.server_process,
                     **timeout_kw,
                 )
-                schedule_keys = ("checkpoint_dir", "server_process")
+                schedule_keys = ("checkpoint_dir",)
                 result_keys = (
                     "nodes",
                     "nodes_final",

@@ -4,6 +4,7 @@ recovery trajectory the manifest records."""
 import logging
 import multiprocessing as mp
 import os
+import socket
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.distributed import (
     ShardServer,
     train_ps,
 )
+from repro.distributed import protocol as wire
 from repro.distributed.checkpoint import CheckpointPolicy, load_latest
 from repro.faults import FaultPlan, RecoveryPolicy
 from repro.models import make_model
@@ -44,6 +46,25 @@ def _ctx():
     return mp.get_context(
         "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     )
+
+
+def _handle() -> RemoteServerHandle:
+    return RemoteServerHandle(
+        _ctx(),
+        init_params=np.zeros(8),
+        shards=2,
+        max_staleness=None,
+        expected_workers=1,
+        checkpoint=None,
+    )
+
+
+def _dial(handle: RemoteServerHandle) -> socket.socket:
+    """One scripted worker: registered as worker 0."""
+    sock = socket.create_connection((handle.host, handle.port), timeout=10.0)
+    wire.send_frame(sock, wire.MSG_HELLO, ident=0)
+    assert wire.recv_frame(sock).msg_type == wire.MSG_HELLO_ACK
+    return sock
 
 
 class TestScheduleValidation:
@@ -126,7 +147,6 @@ class TestRemoteServerHandle:
             handle.release_epoch(1)
             assert handle.checkpoint_now(boundary=True) is not None
             assert handle.counters.get(keys.PS_CHECKPOINTS_WRITTEN) == 1.0
-            assert handle.describe()["server_process"] is True
         finally:
             handle.close()
         # Clean shutdown: the child exited on its own terms, counters
@@ -163,6 +183,35 @@ class TestRemoteServerHandle:
             assert (
                 handle.counters.get(keys.PS_CHECKPOINTS_RESTORED, 0.0) >= 1.0
             )
+        finally:
+            handle.close()
+
+    def test_epoch_wait_answers_on_arrival(self):
+        """The server does the waiting: the reply leaves when the last
+        worker arrives, not at the end of the slice."""
+        handle = _handle()
+        try:
+            with _dial(handle) as sock:
+                handle.release_epoch(1)
+                threading.Timer(
+                    0.1, wire.send_frame, (sock, wire.MSG_EPOCH_DONE), {"clock": 1}
+                ).start()
+                t0 = time.perf_counter()
+                assert handle.wait_epoch(1, 2.0) is True
+                assert time.perf_counter() - t0 < 0.5
+        finally:
+            handle.close()
+
+    def test_epoch_wait_wakes_on_a_closed_connection(self):
+        """A node that dies mid-epoch ends the wait early, so the
+        watchdog blames it at once."""
+        handle = _handle()
+        try:
+            sock = _dial(handle)
+            threading.Timer(0.1, sock.close).start()
+            t0 = time.perf_counter()
+            assert handle.wait_epoch(1, 2.0) is False
+            assert time.perf_counter() - t0 < 1.0
         finally:
             handle.close()
 
@@ -244,19 +293,52 @@ class TestServerFailover:
             model.serial_sgd_epoch(ds.X, ds.y, order, expected, 0.05)
         assert np.array_equal(res.params, expected)
 
-    def test_server_process_without_faults(self, setup, tmp_path):
-        """The supervised topology on a healthy run: same result
-        surface, failover machinery armed but idle."""
+    def test_healthy_run_with_checkpointing(self, setup, tmp_path):
+        """Checkpointing on a healthy run: same result surface,
+        failover machinery armed but idle."""
         model, ds, init = setup
         res = train_ps(
             model, ds.X, ds.y, init, _config(),
-            PsSchedule(nodes=2, epoch_timeout=30.0, server_process=True,
+            PsSchedule(nodes=2, epoch_timeout=30.0,
                        checkpoint_dir=str(tmp_path)),
         )
         assert res.epochs_run == 3
         assert res.server_failovers == 0
         assert res.time_to_repair_seconds is None
         assert not res.diverged
+
+    def test_server_death_without_checkpoint_is_fatal(
+        self, setup, monkeypatch, started_processes
+    ):
+        """With nothing to restore from, a respawned server would hold
+        ``init_params`` and the run would silently restart: the death is
+        raised even with recovery budget left."""
+        model, ds, init = setup
+        real_release = RemoteServerHandle.release_epoch
+        real_respawn = RemoteServerHandle.respawn
+        respawns = []
+
+        def release_epoch(self, epoch, *, stop=False):
+            if epoch == 2 and not stop:
+                self._proc.kill()
+                self._proc.join(5.0)
+            real_release(self, epoch, stop=stop)
+
+        def respawn(self, **kw):
+            respawns.append(kw)
+            return real_respawn(self, **kw)
+
+        monkeypatch.setattr(RemoteServerHandle, "release_epoch", release_epoch)
+        monkeypatch.setattr(RemoteServerHandle, "respawn", respawn)
+        with pytest.raises(ServerDiedError):
+            train_ps(
+                model, ds.X, ds.y, init, _config(),
+                PsSchedule(nodes=2, epoch_timeout=30.0),
+                recovery=RecoveryPolicy(max_restarts=2),
+            )
+        assert respawns == []
+        assert len(started_processes) == 3
+        assert not [p for p in started_processes if p.is_alive()]
 
 
 class TestHandlerLeakAccounting:

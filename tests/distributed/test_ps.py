@@ -9,6 +9,7 @@ bounds, fault recovery and teardown — because the interleaving is
 genuinely asynchronous.
 """
 
+import glob
 import os
 
 import numpy as np
@@ -103,7 +104,6 @@ class TestSharding:
         with ShardServer(init, 4) as server:
             assert np.array_equal(server.snapshot(), init)
             assert server.n_shards == 4
-            assert server.describe()["shards"] == 4
 
 
 class TestSingleNodeDeterminism:
@@ -353,6 +353,24 @@ class TestFacade:
         assert result.time_per_iter == result.measured["wall_seconds_per_epoch"]
         assert keys.PS_PULLS in result.measured["counters"]
         assert result.params is not None
+
+    def test_a_run_is_its_nodes_plus_one_server_process(self, started_processes):
+        """Two nodes and one supervised shard server, all reaped, no
+        shared-memory segment left behind."""
+        from repro.sgd import train
+
+        # Solve the reference first: a cold solve fans out over a pool.
+        train("lr", "w8a", scale="tiny", max_epochs=1, early_stop_tolerance=None)
+        started_processes.clear()
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        train(
+            "lr", "w8a", scale="tiny", max_epochs=1, early_stop_tolerance=None,
+            backend="ps", nodes=2,
+        )
+        names = sorted(p.name for p in started_processes)
+        assert names == ["ps-node-0", "ps-node-1", "ps-server"]
+        assert not [p for p in started_processes if p.is_alive()]
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
 
     def test_ps_flags_rejected_on_other_backends(self):
         from repro.sgd import train

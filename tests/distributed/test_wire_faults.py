@@ -243,7 +243,7 @@ class TestLossyWireEndToEnd:
         assert np.array_equal(res.params, expected)
 
     def test_drop_with_a_half_frame_buffered_stays_serial_exact(
-        self, setup, monkeypatch
+        self, setup, monkeypatch, tmp_path
     ):
         """The worker's buffered reader belongs to one socket.  Here the
         reply just before the drop arrives with the first 30 bytes of
@@ -259,11 +259,13 @@ class TestLossyWireEndToEnd:
         assert item > 0  # a PULL_ALL-opened item has no such reply
         half = wire.pack_frame(wire.MSG_SHARDS, payload=b"\x00" * 100)[:30]
         real_send = wire.send_frame
-        poisoned = []
+        # The patch runs in the forked server process: it records the
+        # poisoned clock in a file, which the parent can read back.
+        log = tmp_path / "poisoned"
 
         def send_frame(sock, msg_type, *, ident=0, clock=0, payload=b""):
-            if msg_type == wire.MSG_SHARDS and clock == n + item and not poisoned:
-                poisoned.append(clock)
+            if msg_type == wire.MSG_SHARDS and clock == n + item and not log.exists():
+                log.write_text(str(clock))
                 frame = wire.pack_frame(
                     msg_type, ident=ident, clock=clock, payload=payload
                 )
@@ -278,6 +280,7 @@ class TestLossyWireEndToEnd:
                        epoch_timeout=20.0),
             fault_plan=FaultPlan.parse(["conn-drop@2:w0"]),
         )
+        poisoned = [int(log.read_text())] if log.exists() else []
         assert poisoned == [n + item]
         assert res.counters[keys.PS_RECONNECTS_MIDRUN] == 1.0
         expected = init.copy()

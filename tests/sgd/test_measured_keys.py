@@ -33,7 +33,6 @@ EXTRAS = {
         "shards",
         "max_staleness",
         "checkpoint_dir",
-        "server_process",
         "server_failovers",
         "time_to_repair_seconds",
     },
@@ -41,7 +40,7 @@ EXTRAS = {
 
 
 @pytest.mark.parametrize(
-    "backend, width_kw, n_keys", [("shm", "threads", 15), ("ps", "nodes", 22)]
+    "backend, width_kw, n_keys", [("shm", "threads", 15), ("ps", "nodes", 21)]
 )
 def test_measured_key_set(backend, width_kw, n_keys):
     r = train(

@@ -109,6 +109,28 @@ def test_one_process_pool():
     assert found == []
 
 
+def test_one_server_placement():
+    """The shard server has one placement, its own supervised process:
+    only the supervisor constructs a ``ShardServer``, and no switch
+    selects another placement."""
+    constructs = {
+        name
+        for name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "ShardServer"
+    }
+    assert constructs == {"src/repro/distributed/supervisor.py"}
+    switches = [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        if "server_process" in (text := path.read_text("utf-8"))
+        or "ps-server-process" in text
+    ]
+    assert switches == []
+
+
 def test_only_cache_dir_is_read_from_the_environment():
     """No ``REPRO_*`` switch changes how the package runs; the cache
     location is the one setting taken from the environment."""
