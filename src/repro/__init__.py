@@ -37,6 +37,16 @@ Quickstart::
 See README.md, DESIGN.md and EXPERIMENTS.md for the full story.
 """
 
+import os
+
+# One BLAS thread in every process that computes here (fork workers
+# inherit it): a threaded GEMM reduces in a different order, which moves
+# MLP results.  Forced, not defaulted — determinism is the anchor — and
+# set before the first NumPy import, the only time BLAS reads it.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+del _var
+
 from . import (
     asyncsim,
     datasets,

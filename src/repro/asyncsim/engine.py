@@ -152,7 +152,6 @@ def run_async_epoch(
     tel = ensure_telemetry(telemetry)
     n = X.shape[0]
     order = rng.permutation(n) if schedule.shuffle else np.arange(n)
-    items = schedule.work_items(order)
     C = schedule.concurrency
 
     # Divergence-prone arithmetic below overflows by design shortly
@@ -180,8 +179,8 @@ def run_async_epoch(
         rounds = 0
         batched = getattr(model, "batched_updates", None)
         with np.errstate(over="ignore"):
-            for start in range(0, len(items), C):
-                rows = np.concatenate(items[start : start + C])
+            for start in range(0, n, C):
+                rows = order[start : start + C]
                 if batched is not None:
                     _apply_batched(params, batched(X, y, rows, params, step))
                 else:
@@ -201,6 +200,7 @@ def run_async_epoch(
     # round's updates are computed before any is applied, so they all
     # observe the model as of the round start — no explicit snapshot
     # copy is needed.
+    items = schedule.work_items(order)
     rounds = 0
     with np.errstate(over="ignore"):
         for start in range(0, len(items), C):

@@ -296,9 +296,10 @@ def worker_main(
 
         rng = derive_rng(seed, f"ps/{n_workers}/{worker_id}")
         dmargin = model._dmargin_scalar
+        labels = y.tolist()
         sparse = hasattr(X, "indptr")
         if sparse:
-            indptr, indices, data = X.indptr, X.indices, X.data
+            indptr, indices, data = X.indptr.tolist(), X.indices, X.data
             Xd = None
         else:
             Xd = np.asarray(X, dtype=np.float64)
@@ -386,19 +387,20 @@ def worker_main(
                         if sparse:
                             idx_parts: list[np.ndarray] = []
                             val_parts: list[np.ndarray] = []
-                            for i in rows:
+                            for i in rows.tolist():
                                 a, b = indptr[i], indptr[i + 1]
                                 if a == b:
                                     continue
                                 idx = indices[a:b]
                                 val = data[a:b]
-                                yi = y[i]
-                                margin = val @ w[idx]
-                                coef = yi * dmargin(yi * margin)
+                                yi = labels[i]
+                                read = w.take(idx)
+                                coef = yi * dmargin(yi * val.dot(read))
                                 if coef == 0.0:
                                     continue
                                 delta = (-step * coef) * val
-                                w[idx] += delta  # later rows in the item see it
+                                # Later rows in the item see it.
+                                w.put(idx, read + delta)
                                 idx_parts.append(idx)
                                 val_parts.append(delta)
                             if len(idx_parts) == 1:
@@ -412,11 +414,10 @@ def worker_main(
                                 payload = wire.pack_push_empty()
                         else:
                             acc = None
-                            for i in rows:
+                            for i in rows.tolist():
                                 xi = Xd[i]
-                                yi = y[i]
-                                margin = xi @ w
-                                coef = yi * dmargin(yi * margin)
+                                yi = labels[i]
+                                coef = yi * dmargin(yi * xi.dot(w))
                                 if coef == 0.0:
                                     continue
                                 delta = (-step * coef) * xi

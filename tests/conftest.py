@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from multiprocessing.process import BaseProcess
 
+# First, so its one-BLAS-thread pin is set before NumPy loads BLAS.
+import repro  # noqa: F401
+
 import numpy as np
 import pytest
 

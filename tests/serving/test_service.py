@@ -94,7 +94,7 @@ class TestProtocolErrors:
             reply = json.loads(sock.makefile().readline())
         assert reply["ok"] is False
         assert reply["error"]["retriable"] is retriable
-        assert reply["error"]["type"]
+        assert reply["error"]["type"] == "invalid-request"
         assert reply["error"]["message"]
 
     @pytest.mark.parametrize(
@@ -117,6 +117,7 @@ class TestProtocolErrors:
         assert not stop
         assert reply["ok"] is False
         assert reply["error"]["retriable"] is False
+        assert reply["error"]["type"] == "invalid-request"
         assert "must be finite" in reply["error"]["message"]
         # and the next request on the same server is served normally
         ok, _ = server.dispatch(b'{"op": "score", "examples": [[1.0, 0.0, 0.0, 1.0]]}')
