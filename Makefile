@@ -112,32 +112,33 @@ chaos-ps:        ## node-kill/node-stall drill against the parameter-server back
 	@pgrep -f 'repro train.*backend p[s]' >/dev/null 2>&1 && \
 		{ echo 'chaos-ps: leaked worker processes'; pgrep -af 'repro train.*backend p[s]'; exit 1; } || true
 
-chaos-ps-server: ## SIGKILL the shard server mid-epoch; checkpoint-restore failover drill
+chaos-ps-server: ## SIGKILL, then wedge, the shard server mid-epoch; checkpoint-restore failover drill
 	rm -rf /tmp/chaos_ps_server && mkdir -p /tmp/chaos_ps_server
 	REPRO_CACHE_DIR=/tmp/chaos_ps_server/cache PYTHONPATH=src python -m repro train \
 		--task lr --dataset w8a --scale tiny --epochs 4 \
 		--backend ps --nodes 2 --max-staleness 16 --epoch-timeout 30 \
 		--ps-checkpoint-dir /tmp/chaos_ps_server/ckpt --ps-checkpoint-every 50 \
-		--inject-fault server-kill@2 \
-		--max-restarts 2 \
+		--inject-fault server-kill@2 --inject-fault server-stall@3:12 \
+		--max-restarts 3 \
 		--manifest-out /tmp/chaos_ps_server/manifest.json
 	PYTHONPATH=src python -c "import json, os; \
 		m = json.load(open('/tmp/chaos_ps_server/manifest.json')); \
 		c = m['counters']; \
-		assert c.get('fault.injected', 0) >= 1, c; \
-		assert c.get('ps.server_failovers', 0) >= 1, c; \
+		assert c.get('fault.injected', 0) >= 2, c; \
+		assert c.get('ps.server_failovers', 0) >= 2, c; \
 		assert c.get('ps.checkpoints_restored', 0) >= 1, c; \
 		assert c.get('ps.checkpoints_written', 0) >= 1, c; \
 		assert c.get('ps.reconnects_midrun', 0) >= 1, c; \
 		assert c.get('fault.worker_restarts', 0) == 0, c; \
 		rec = m['results']['measured']['recovery']; \
 		fo = [r for r in rec if r['action'] == 'server_failover']; \
-		assert len(fo) == 1, rec; \
+		assert [r['epoch'] for r in fo] == [2, 3], rec; \
+		assert 'timed out' in fo[1]['cause']['message'], fo; \
 		names = os.listdir('/tmp/chaos_ps_server/ckpt'); \
 		assert any(n.endswith('.ckpt') for n in names), names; \
 		assert not [n for n in names if not n.endswith('.ckpt')], names; \
-		print('chaos-ps-server: failover healed in %.3fs |' \
-			% fo[0]['time_to_repair_seconds'], \
+		print('chaos-ps-server: kill healed in %.3fs, stall in %.3fs |' \
+			% (fo[0]['time_to_repair_seconds'], fo[1].get('time_to_repair_seconds', float('nan'))), \
 			'restored %d, reconnects %d, checkpoints %d' \
 			% (c['ps.checkpoints_restored'], c['ps.reconnects_midrun'], \
 			   c['ps.checkpoints_written']))"

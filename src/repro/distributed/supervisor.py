@@ -97,8 +97,7 @@ def server_main(
     try:
         conn.send((server.host, server.port))
         conn.close()
-        while not server.shutdown_event.wait(0.2):
-            pass
+        server.shutdown_event.wait()
     finally:
         server.close()
 

@@ -4,8 +4,8 @@ Each worker process owns a round-robin partition of the examples and
 runs barrier-aligned epochs, exactly like a shared-memory worker — but
 where the shm worker reads and scatters against a shared buffer, this
 one **pulls** the model over TCP, computes its work item against the
-assembled (possibly mixed-version) model, and **pushes** the item's
-delta back.  The per-row math is the scalar path of
+assembled model (one consistent cut of the server's shards), and
+**pushes** the item's delta back.  The per-row math is the scalar path of
 :meth:`~repro.models.linear.LinearModel.serial_sgd_epoch`, and the
 pushed delta is the *negated* update (``(-step*coef)*val``), which the
 server applies by addition — IEEE negation and multiplication are

@@ -74,7 +74,7 @@ docs/RESILIENCE.md):
     the server from the newest valid checkpoint on a fresh port, and
     the workers reconnect and replay.
 ``server-stall``
-    Every server handler wedges for ``seconds`` (default ``3 x
+    The server's event loop wedges for ``seconds`` (default ``3 x
     epoch_timeout``) starting mid-epoch, so the parent's liveness
     probe must time out and drive the same crash-restart failover —
     a wedged server and a dead server heal identically.

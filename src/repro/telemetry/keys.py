@@ -111,7 +111,6 @@ __all__ = [
     "PS_CHECKPOINTS_WRITTEN",
     "PS_CHECKPOINTS_RESTORED",
     "PS_SERVER_FAILOVERS",
-    "PS_HANDLER_THREADS_LEAKED",
     "PS_TIME_TO_REPAIR_SECONDS",
     "PS_PULL_ROUNDS_PER_UPDATE",
     "PS_STALENESS_BUCKET_PREFIX",
@@ -432,10 +431,6 @@ PS_CHECKPOINTS_RESTORED = "ps.checkpoints_restored"
 #: declared dead (exit or liveness-probe timeout), respawned from the
 #: newest valid checkpoint on a fresh port.
 PS_SERVER_FAILOVERS = "ps.server_failovers"
-
-#: Handler threads still alive after ``ShardServer.close()`` exhausted
-#: its join timeout — a wedged handler the teardown had to abandon.
-PS_HANDLER_THREADS_LEAKED = "ps.handler_threads_leaked"
 
 #: Gauge: seconds from the parent detecting server death to the first
 #: push applied by the restored server (the failover's time-to-repair;

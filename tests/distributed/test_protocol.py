@@ -308,13 +308,42 @@ class _Dribble:
         return len(out)
 
 
-def _drain(read) -> list[tuple]:
-    frames = []
-    while (frame := read()) is not None:
-        frames.append(
-            (frame.msg_type, frame.ident, frame.clock, frame.payload, frame.nbytes)
-        )
-    return frames
+def _fields(frame) -> tuple:
+    return (frame.msg_type, frame.ident, frame.clock, frame.payload, frame.nbytes)
+
+
+#: The reader's two entry points: a blocking peer's ``read()``, and the
+#: event loop's drive — after each ``feed()``, every whole ``pending()``.
+ENTRIES = ("read", "feed")
+
+
+def _frames_via(reader, entry: str):
+    if entry == "read":
+        while (frame := reader.read()) is not None:
+            yield frame
+        return
+    while True:
+        while (frame := reader.pending()) is not None:
+            yield frame
+        if not reader.feed():
+            return
+
+
+def _outcome(frames) -> tuple[list[tuple], str | None]:
+    """Frames decoded before the first error, and that error (an EOF
+    inside a frame reads as one kind, however many bytes were in)."""
+    decoded = []
+    try:
+        for frame in frames:
+            decoded.append(_fields(frame))
+    except wire.WireProtocolError as err:
+        return decoded, "eof" if "closed" in str(err) else str(err)
+    return decoded, None
+
+
+def _recv_frames(sock):
+    while (frame := wire.recv_frame(sock)) is not None:
+        yield frame
 
 
 _frames = st.lists(
@@ -338,7 +367,8 @@ def _stream(frames) -> bytes:
 
 class TestFrameReader:
     """The buffered reader is ``recv_frame`` with fewer syscalls —
-    same frames, same rejections, whatever the kernel's chunking."""
+    same frames, same rejections, whatever the kernel's chunking, and
+    through either entry point."""
 
     @settings(max_examples=150, deadline=None)
     @given(frames=_frames, chunks=_chunks, size=st.integers(20, 96))
@@ -346,18 +376,29 @@ class TestFrameReader:
         """1-byte dribble, several frames per read, frames larger than
         the buffer: all decode to exactly what ``recv_frame`` yields."""
         stream = _stream(frames)
-        plain = _Dribble(stream)
-        expected = _drain(lambda: wire.recv_frame(plain))
-        assert [f[:4] for f in expected] == frames
-        reader = wire.FrameReader(_Dribble(stream, chunks), size=size)
-        assert _drain(reader.read) == expected
+        expected = _outcome(_recv_frames(_Dribble(stream)))
+        assert [f[:4] for f in expected[0]] == frames and expected[1] is None
+        for entry in ENTRIES:
+            reader = wire.FrameReader(_Dribble(stream, chunks), size=size)
+            assert _outcome(_frames_via(reader, entry)) == expected, entry
 
     def test_frames_larger_than_the_default_buffer(self):
         big = bytes(range(256)) * 1200  # 300 KB, default buffer is 64 KiB
         frames = [(wire.MSG_PUSH, 1, 1, big), (wire.MSG_BYE, 0, 0, b""),
                   (wire.MSG_SHARDS, 2, 2, big[:70_000])]
-        reader = wire.FrameReader(_Dribble(_stream(frames), [50_000]))
-        assert [f[:4] for f in _drain(reader.read)] == frames
+        for entry in ENTRIES:
+            reader = wire.FrameReader(_Dribble(_stream(frames), [50_000]))
+            decoded = [_fields(f)[:4] for f in _frames_via(reader, entry)]
+            assert decoded == frames, entry
+
+    def test_feed_without_pending_grows_the_buffer(self):
+        """A peer writing past a reply it has not read fills the buffer
+        with whole frames; ``feed()`` grows it, never reads 0 bytes."""
+        frames = [(wire.MSG_FAULT, k, k, b"x" * 10) for k in range(4)]
+        reader = wire.FrameReader(_Dribble(_stream(frames), [64]), size=40)
+        for _ in range(3):  # 40 bytes a call: the 120-byte stream, unparsed
+            assert reader.feed()
+        assert [_fields(f)[:4] for f in _frames_via(reader, "feed")] == frames
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -368,38 +409,39 @@ class TestFrameReader:
     )
     def test_any_flipped_byte_is_a_wire_error(self, frames, chunks, where, mask):
         """Frames ahead of the damage decode; at the damage the reader
-        raises WireProtocolError — never another exception, never a
-        frame that was not sent."""
+        raises the WireProtocolError ``recv_frame`` raises — never
+        another exception, never a frame that was not sent."""
         stream = bytearray(_stream(frames))
         stream[int(where * len(stream))] ^= mask
-        reader = wire.FrameReader(_Dribble(bytes(stream), chunks), size=64)
-        decoded = []
-        with pytest.raises(wire.WireProtocolError):
-            while (frame := reader.read()) is not None:
-                decoded.append(
-                    (frame.msg_type, frame.ident, frame.clock, frame.payload)
-                )
-        assert decoded == frames[: len(decoded)]
+        expected = _outcome(_recv_frames(_Dribble(bytes(stream))))
+        decoded, error = expected
+        assert error is not None
+        assert [f[:4] for f in decoded] == frames[: len(decoded)]
         assert len(decoded) < len(frames)
+        for entry in ENTRIES:
+            reader = wire.FrameReader(_Dribble(bytes(stream), chunks), size=64)
+            assert _outcome(_frames_via(reader, entry)) == expected, entry
 
     def test_oversized_header_rejected_before_any_allocation(self):
         head = _raw_header(wire.MSG_PUSH, wire.MAX_FRAME_BYTES + 1)
-        reader = wire.FrameReader(_Dribble(head + b"x" * 64))
-        tracemalloc.start()
-        try:
-            with pytest.raises(wire.WireProtocolError, match="cap"):
-                reader.read()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        for entry in ENTRIES:
+            reader = wire.FrameReader(_Dribble(head + b"x" * 64))
+            tracemalloc.start()
+            try:
+                with pytest.raises(wire.WireProtocolError, match="cap"):
+                    next(_frames_via(reader, entry))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, entry
 
     def test_eof_inside_a_frame_raises(self):
         raw = wire.pack_frame(wire.MSG_PUSH, payload=b"\x01" * 40)
         for cut in (5, wire.HEADER_BYTES, wire.HEADER_BYTES + 7):
-            reader = wire.FrameReader(_Dribble(raw[:cut]))
-            with pytest.raises(wire.WireProtocolError, match="closed"):
-                reader.read()
+            for entry in ENTRIES:
+                reader = wire.FrameReader(_Dribble(raw[:cut]))
+                with pytest.raises(wire.WireProtocolError, match="closed"):
+                    next(_frames_via(reader, entry))
 
     def test_reads_a_real_socket(self, pair):
         a, b = pair
