@@ -14,7 +14,10 @@ The full loop, with real processes and real sockets:
    carries the ``serve.*`` telemetry keys and a clean exit;
 5. re-serve the exported model artifact (``repro serve --model``) and
    check scored margins against NumPy ``X.w`` on the artifact's own
-   parameters.
+   parameters; then send every canned request again, pipelined in one
+   ``sendall`` on one connection, and require one reply per line, in
+   order, each equal to that request's one-at-a-time reply apart from
+   ``latency_ms``.
 
 Every canned request is sent throughout: the well-formed ones (sparse,
 unsorted sparse, ``(indices, values)`` pairs, dense, mixed in one
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -135,6 +139,16 @@ def _assert_refused(reply: dict, refusal: str) -> None:
     err = reply["error"]
     assert err["retriable"] is False, err
     assert refusal in err["message"], (refusal, err)
+
+
+def _pipelined(host: str, port: int, requests: list) -> list:
+    """Every request in one ``sendall`` on one connection, then EOF; the
+    replies, one per line, in the order they came."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as reader:
+            return [json.loads(line) for line in reader]
 
 
 def _numpy_margins(examples: list, params: np.ndarray) -> np.ndarray:
@@ -275,8 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     host, port = _server_address(artifact_server)
     doc = json.loads(model.read_text())
     params = np.array([float(v) for v in doc["results"][0]["params"]])
+    singles = []
     for req, refusal in CANNED_REQUESTS:
         reply = request_once(host, port, req)
+        singles.append(reply)
         if refusal is not None:
             _assert_refused(reply, refusal)
             continue
@@ -285,6 +301,13 @@ def main(argv: list[str] | None = None) -> int:
         want = _numpy_margins(req["examples"], params)
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12), (got, want)
     print("   canned requests match NumPy X.w; malformed ones refused", flush=True)
+    pipelined = _pipelined(host, port, [req for req, _ in CANNED_REQUESTS])
+    assert len(pipelined) == len(singles), (len(pipelined), len(singles))
+    for one, many in zip(singles, pipelined):
+        one.pop("latency_ms", None)
+        many.pop("latency_ms", None)
+        assert many == one, (many, one)
+    print("   pipelined on one connection: the same replies, in order", flush=True)
     assert request_once(host, port, {"op": "shutdown"})["ok"]
     artifact_server.communicate(timeout=30)
     assert artifact_server.returncode == 0

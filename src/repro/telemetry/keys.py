@@ -294,7 +294,7 @@ GRID_REFERENCE_REUSED = "grid.reference.reused"
 #: structured error; one request may carry several examples).
 SERVE_REQUESTS = "serve.requests"
 
-#: Examples scored (the unit the micro-batcher coalesces).
+#: Examples scored (the unit micro-batches are capped in).
 SERVE_EXAMPLES = "serve.examples"
 
 #: Micro-batches pushed through the vectorised margin kernels — the
@@ -329,13 +329,14 @@ SERVE_SOURCE_ERRORS = "serve.source_errors"
 #: Gauge: sustained request throughput over the measurement window.
 SERVE_REQUESTS_PER_SECOND = "serve.requests_per_second"
 
-#: Gauge: median request latency (milliseconds, submit -> scored).
+#: Gauge: median request latency (milliseconds, parsed -> scored).
 SERVE_LATENCY_P50_MS = "serve.latency_p50_ms"
 
 #: Gauge: 99th-percentile request latency (milliseconds).
 SERVE_LATENCY_P99_MS = "serve.latency_p99_ms"
 
-#: Gauge: deepest request queue observed by the micro-batcher.
+#: Gauge: most score requests coalesced in one loop pass (the most
+#: requests handed to one ``ScoringEngine.answer`` call).
 SERVE_QUEUE_DEPTH_PEAK = "serve.queue_depth_peak"
 
 #: Gauge: mean realised micro-batch size (examples per kernel call).
