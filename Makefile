@@ -152,7 +152,14 @@ serve-smoke:     ## train -> serve -> score through hot-swaps -> manifest check,
 	@ls /dev/shm/psm_* >/dev/null 2>&1 && \
 		{ echo 'serve-smoke: leaked shared-memory segments'; ls /dev/shm/psm_*; exit 1; } || true
 
-shapes:          ## regenerate + assert all tables/figures (CI runs exactly this)
+SHAPES_REPORT = benchmarks/artifacts/EXPERIMENTS.md
+
+shapes:          ## the report with every shape check (resumed from the grid store), then the extended-artifact suite (CI runs exactly this)
+	mkdir -p benchmarks/artifacts
+	REPRO_CACHE_DIR=.repro_cache PYTHONPATH=src python -m repro experiments \
+		--jobs $(JOBS) --resume --store .repro_cache/grid > $(SHAPES_REPORT)
+	@if grep -n 'NOT reproduced' $(SHAPES_REPORT); then \
+		echo 'shapes: a shape check failed, see $(SHAPES_REPORT)'; exit 1; fi
 	PYTHONPATH=src python -m pytest benchmarks/ -q -s
 
 # make bench-pairs WORKLOAD=train-shm PARENT=HEAD~1 PAIRS=10 SEEDS=1,2
@@ -164,7 +171,8 @@ bench-pairs:     ## alternating parent/change `bench run` pairs + the 9-of-10 / 
 		--pairs $(PAIRS) --seeds $(SEEDS)
 
 experiments:     ## rebuild EXPERIMENTS.md from a fresh run
-	REPRO_CACHE_DIR=.repro_cache python scripts/run_experiments.py
+	REPRO_CACHE_DIR=.repro_cache PYTHONPATH=src python -m repro experiments \
+		--jobs $(JOBS) --store .repro_cache/grid > EXPERIMENTS.md
 
 grid:            ## all paper artifacts over the parallel, resumable grid
 	REPRO_CACHE_DIR=.repro_cache PYTHONPATH=src python -m repro experiments \

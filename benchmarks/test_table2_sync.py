@@ -1,116 +1,32 @@
-"""Regeneration of Table II (synchronous SGD performance).
+"""Table II's primitives: the synchronous epoch and its costing.
 
-Regenerates the full table (3 tasks x 5 datasets x 3 architectures),
-asserts the paper's qualitative shapes, and runs the synchronous epoch
-primitives on both dense and sparse data.
+Table II's shape checks live in the artifact registry (``repro
+experiments``).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.datasets import load
-from repro.experiments import run_table2
-from repro.models import make_model
-from repro.utils import derive_rng
+from repro.linalg import recording
+from repro.sgd.runner import full_scale_factor, working_set_bytes
 
-from conftest import publish
+from conftest import small_lr
 
 
-@pytest.fixture(scope="module")
-def table2(ctx):
-    return run_table2(ctx)
+@pytest.mark.parametrize("dataset", ["covtype", "rcv1"])
+def test_benchmark_sync_epoch(dataset):
+    ds, model, w = small_lr(dataset)
+    assert np.all(np.isfinite(model.full_grad(ds.X, ds.y, w)))
 
 
-class TestTable2Shapes:
-    def test_render_and_publish(self, table2, artifact_dir):
-        publish(artifact_dir, "table2.txt", table2.render())
-        assert len(table2.rows) == 15
-
-    def test_all_configurations_converge(self, table2):
-        """Table II has no infinity entries: every synchronous
-        configuration reaches the 1% band."""
-        non_conv = [
-            (r.task, r.dataset) for r in table2.rows if not math.isfinite(r.epochs)
-        ]
-        assert len(non_conv) <= 2, f"non-convergent sync cells: {non_conv}"
-
-    def test_gpu_always_beats_parallel_cpu(self, table2):
-        """Paper: 'GPU is always faster than parallel CPU in time per
-        iteration and, thus, in time to convergence.'"""
-        assert table2.gpu_always_fastest()
-
-    def test_parallel_always_beats_sequential(self, table2):
-        assert table2.parallel_always_helps()
-
-    def test_lr_svm_gap_grows_with_sparsity(self, table2):
-        """Paper: the par/gpu gap increases with sparsity — the sparsest
-        datasets show a larger GPU advantage than dense covtype."""
-        for task in ("lr", "svm"):
-            dense_gap = table2.row(task, "covtype").speedup_par_over_gpu
-            sparse_gaps = [
-                table2.row(task, d).speedup_par_over_gpu for d in ("rcv1", "news")
-            ]
-            assert max(sparse_gaps) > dense_gap
-
-    def test_mlp_cpu_speedup_near_two(self, table2):
-        """Paper: ViennaCL's GEMM threshold caps MLP parallel speedup
-        around 2x (1.94-2.89 in Table II)."""
-        assert table2.mlp_speedup_band(lo=1.5, hi=3.5)
-
-    def test_mlp_gpu_speedup_band(self, table2):
-        """Paper: MLP par/gpu speedup is 4.08-6.69; ours must land in a
-        comparable 2.5-8x band."""
-        for r in table2.rows:
-            if r.task == "mlp":
-                assert 2.5 <= r.speedup_par_over_gpu <= 8.0, (r.dataset, r.speedup_par_over_gpu)
-
-    def test_lr_svm_large_parallel_speedups(self, table2):
-        """Paper: cpu-seq/cpu-par reaches 42-428x for LR/SVM; our band
-        is 8-400x with w8a (cache-resident) near the top."""
-        for task in ("lr", "svm"):
-            speedups = {
-                d: table2.row(task, d).speedup_seq_over_par
-                for d in ("covtype", "w8a", "real-sim", "rcv1", "news")
-            }
-            assert all(s > 8.0 for s in speedups.values()), speedups
-            assert speedups["w8a"] >= max(speedups["covtype"], speedups["rcv1"]) * 0.9
-
-
-class TestSyncEpochBenchmarks:
-    def test_benchmark_dense_epoch(self):
-        ds = load("covtype", "small")
-        model = make_model("lr", ds)
-        w = model.init_params(derive_rng(0, "b"))
-        g = model.full_grad(ds.X, ds.y, w)
-        assert np.all(np.isfinite(g))
-
-    def test_benchmark_sparse_epoch(self):
-        ds = load("rcv1", "small")
-        model = make_model("lr", ds)
-        w = model.init_params(derive_rng(0, "b"))
-        g = model.full_grad(ds.X, ds.y, w)
-        assert np.all(np.isfinite(g))
-
-    def test_benchmark_trace_costing(self, ctx):
-        """Hardware-model evaluation (one epoch trace, 3 backends)."""
-        from repro.linalg import recording
-        from repro.sgd.runner import full_scale_factor, working_set_bytes
-
-        ds = load("rcv1", "small")
-        model = make_model("lr", ds)
-        w = model.init_params(derive_rng(0, "b"))
-        with recording() as tr:
-            model.full_grad(ds.X, ds.y, w)
-        trace = tr.scaled(full_scale_factor(ds, "lr"))
-        ws = working_set_bytes(ds, model, "lr")
-
-        cost = (
-            ctx.cpu.sync_epoch_time(trace, 1, ws)
-            + ctx.cpu.sync_epoch_time(trace, 56, ws)
-            + ctx.gpu.sync_epoch_time(trace)
-        )
-        assert cost > 0
+def test_benchmark_trace_costing(ctx):
+    """Hardware-model evaluation (one epoch trace, 3 backends)."""
+    ds, model, w = small_lr("rcv1")
+    with recording() as tr:
+        model.full_grad(ds.X, ds.y, w)
+    trace = tr.scaled(full_scale_factor(ds, "lr"))
+    ws = working_set_bytes(ds, model, "lr")
+    cpu = sum(ctx.cpu.sync_epoch_time(trace, n, ws) for n in (1, 56))
+    assert cpu + ctx.gpu.sync_epoch_time(trace) > 0

@@ -38,11 +38,16 @@ See README.md, DESIGN.md and EXPERIMENTS.md for the full story.
 """
 
 import os
+import sys
 
 # One BLAS thread in every process that computes here (fork workers
 # inherit it): a threaded GEMM reduces in a different order, which moves
 # MLP results.  Forced, not defaulted — determinism is the anchor — and
 # set before the first NumPy import, the only time BLAS reads it.
+#: False when NumPy was imported before this package: its BLAS had
+#: already read its thread count, so the one-thread pin may not hold.
+#: Run and grid manifests record it as ``blas_pinned``.
+BLAS_PINNED = "numpy" not in sys.modules
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 del _var
@@ -89,6 +94,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
+    "BLAS_PINNED",
     "train",
     "grid_search",
     "TrainResult",

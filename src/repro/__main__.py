@@ -4,10 +4,13 @@ Commands map one-to-one onto the paper's artifacts:
 
 * ``table1`` / ``table2`` / ``table3`` — regenerate a table;
 * ``fig6`` / ``fig7`` / ``fig8`` / ``fig9`` — regenerate a figure;
-* ``experiments`` — run several artifacts over one shared grid, with
-  ``--jobs N`` process-pool fan-out, ``--resume`` from the on-disk
-  result store, and ``--keep-going`` degraded mode (retry/quarantine
-  failing cells instead of aborting; see docs/RESILIENCE.md);
+* ``experiments`` — run several artifacts over one shared grid and
+  print the report: each artifact's section of EXPERIMENTS.md plus its
+  named shape checks (the default, full run prints EXPERIMENTS.md
+  itself), with ``--jobs N`` process-pool fan-out, ``--resume`` from
+  the on-disk result store, and ``--keep-going`` degraded mode
+  (retry/quarantine failing cells instead of aborting; see
+  docs/RESILIENCE.md);
 * ``train`` — run a single configuration (all three performance axes);
   ``--snapshot-out`` additionally publishes live parameter snapshots
   from a ``--backend shm`` run, ``--model-out`` exports the final model
@@ -23,6 +26,7 @@ Examples::
 
     python -m repro table2 --scale small
     python -m repro experiments --artifacts table2 table3 --jobs 4 --resume
+    python -m repro experiments --jobs 4 --store .repro_cache/grid > EXPERIMENTS.md
     python -m repro train --task svm --dataset news \\
         --architecture cpu-par --strategy asynchronous --step 0.3
     python -m repro train --task lr --dataset w8a --backend shm \\
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import fields, replace
 
 from . import experiments
@@ -45,17 +50,7 @@ from .models import TASK_NAMES
 from .faults import FaultPlan
 from .sgd import ARCHITECTURES, BACKENDS, STEP_GRID, STRATEGIES, RunConfig, run
 
-#: Artifact name -> the driver that regenerates it.
-_RUNNERS = {
-    "table1": experiments.run_table1,
-    "table2": experiments.run_table2,
-    "table3": experiments.run_table3,
-    "fig6": experiments.run_fig6,
-    "fig7": experiments.run_fig7,
-    "fig8": experiments.run_fig8,
-    "fig9": experiments.run_fig9,
-}
-_ARTIFACTS = tuple(_RUNNERS)
+_ARTIFACTS = tuple(experiments.ARTIFACTS)
 
 
 def _add_context_args(p: argparse.ArgumentParser) -> None:
@@ -257,8 +252,6 @@ def _make_context(args: argparse.Namespace):
         scale=args.scale,
         seed=args.seed,
         tolerance=args.tolerance,
-        sync_max_epochs=3000,
-        async_max_epochs=950,
         telemetry=_make_telemetry(args),
         jobs=getattr(args, "jobs", 1),
         shared_data=getattr(args, "shared_data", True),
@@ -273,7 +266,7 @@ def _make_context(args: argparse.Namespace):
 
 def _cmd_table(args: argparse.Namespace) -> int:
     ctx = _make_context(args)
-    result = _RUNNERS[args.command](ctx)
+    result = experiments.ARTIFACTS[args.command].run(ctx)
     _attach_ps_manifests(result, args)
     print(result.render())
     _export_telemetry(args, ctx.telemetry)
@@ -299,14 +292,20 @@ def _attach_ps_manifests(result, args: argparse.Namespace) -> None:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     ctx = _make_context(args)
-    for name in args.artifacts:
-        result = _RUNNERS[name](ctx)
-        if name == "table3":
-            _attach_ps_manifests(result, args)
-        print(result.render())
-        print()
+    results = experiments.run_artifacts(ctx, args.artifacts)
+    if "table3" in results:
+        _attach_ps_manifests(results["table3"], args)
+    text, checks = experiments.render_report(ctx, results)
+    sys.stdout.write(text)
     _report_grid(args, ctx, artifacts=list(args.artifacts))
+    failed = sum(1 for c in checks if not c.passed)
+    print(
+        f"report: {len(checks)} shape checks, {failed} NOT reproduced, "
+        f"in {time.perf_counter() - start:.0f}s",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -538,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "experiments",
         help="run several artifacts over one shared (optionally parallel, "
-        "resumable) experiment grid",
+        "resumable) experiment grid and print the report with its shape "
+        "checks (all artifacts: EXPERIMENTS.md)",
     )
     p.add_argument(
         "--artifacts",

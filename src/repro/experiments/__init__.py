@@ -10,7 +10,7 @@ from .fig7 import Fig7Panel, Fig7Result, run_fig7
 from .fig89 import Fig89Result, SpeedupEntry, run_fig8, run_fig9
 from .resilience import FAILURE_KINDS, CellFailure, render_failure_section
 from .tolerances import LadderEntry, ToleranceLadder, run_tolerance_ladder
-from .report import ReproductionReport, Verdict, reproduce_all
+from .registry import ARTIFACTS, Artifact, Check, render_report, run_artifacts
 from .table1 import Table1Check, Table1Result, run_table1
 from .store import ResultStore, config_key
 from .table2 import Table2Result, Table2Row, run_table2
@@ -51,9 +51,11 @@ __all__ = [
     "run_tolerance_ladder",
     "ToleranceLadder",
     "LadderEntry",
-    "reproduce_all",
-    "ReproductionReport",
-    "Verdict",
+    "ARTIFACTS",
+    "Artifact",
+    "Check",
+    "render_report",
+    "run_artifacts",
     "Fig1Result",
     "Fig1Cell",
     "Fig6Result",

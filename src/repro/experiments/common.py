@@ -59,8 +59,10 @@ class ExperimentContext:
     scale: str = "small"
     seed: int | None = None
     tolerance: float = 0.01
-    sync_max_epochs: int = 2000
-    async_max_epochs: int = 300
+    #: Epoch budgets of the paper grid's runs (one place: the CLI, the
+    #: report and the shape suite all take these defaults).
+    sync_max_epochs: int = 3000
+    async_max_epochs: int = 950
     datasets: tuple[str, ...] = DATASET_NAMES
     tasks: tuple[str, ...] = ("lr", "svm", "mlp")
     step_overrides: dict[tuple[str, str, str, str], float] = field(
@@ -276,7 +278,9 @@ class ExperimentContext:
         historical code path — train on first ``run`` — is untouched.
         Otherwise the :class:`~repro.experiments.executor.GridExecutor`
         computes the cells (process pool, shared-base dedup, optional
-        store resume) with bit-identical results.
+        store resume) with bit-identical results.  Cells an earlier
+        prefetch already cached or quarantined are skipped, so a driver's
+        own prefetch after a report-wide one adds no records.
         """
         if (
             self.jobs <= 1
@@ -284,6 +288,10 @@ class ExperimentContext:
             and not self.keep_going
             and self.fault_plan is None
         ):
+            return
+        cells = [c for c in cells if c.key not in self._cache]
+        cells = [c for c in cells if self.failure_for(*c.key) is None]
+        if not cells:
             return
         from .executor import GridExecutor
 

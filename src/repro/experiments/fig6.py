@@ -65,7 +65,7 @@ class Fig6Point:
 
 @dataclass
 class Fig6Result:
-    """The sweep's points plus rendering and shape checks."""
+    """The sweep's points and their rendering."""
 
     points: list[Fig6Point] = field(default_factory=list)
 
@@ -91,18 +91,6 @@ class Fig6Result:
             unit="x",
         )
         return table + "\n\n" + bars
-
-    # -- paper shape checks -----------------------------------------------
-
-    def speedup_grows_with_width(self) -> bool:
-        """The parallel-CPU speedup must grow as layers cross the
-        ViennaCL threshold (Fig. 6's headline shape)."""
-        s = [p.speedup_par_over_seq for p in self.points]
-        return s[-1] > 4.0 * s[0] and all(b >= a * 0.8 for a, b in zip(s, s[1:]))
-
-    def small_net_speedup_near_two(self, lo: float = 1.2, hi: float = 3.5) -> bool:
-        """The Table I architecture sits near the paper's ~2x."""
-        return lo <= self.points[0].speedup_par_over_seq <= hi
 
 
 def run_fig6(

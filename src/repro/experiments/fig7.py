@@ -4,9 +4,9 @@ The paper's head-to-head between the two *optimal* configurations: the
 synchronous strategy on its best architecture (GPU) against the
 asynchronous strategy on its best (CPU), same initial model, tuned
 hyper-parameters, loss measured against wall-clock time.  The paper's
-conclusion — and this driver's shape check — is that **neither side
-wins everywhere**: the winner is task- and dataset-dependent, mirroring
-the classic BGD-vs-SGD trade-off.
+conclusion — and the registry's ``fig7/no-single-winner`` check — is
+that **neither side wins everywhere**: the winner is task- and
+dataset-dependent, mirroring the classic BGD-vs-SGD trade-off.
 
 Degraded mode: a panel needs both sides.  On a keep-going grid, a
 panel whose sync-GPU run — or both async CPU candidates — was
@@ -25,7 +25,7 @@ from ..utils.tables import render_line_chart, render_table
 from .common import ExperimentContext
 from .resilience import CellFailure, render_failure_section
 
-__all__ = ["Fig7Panel", "Fig7Result", "run_fig7"]
+__all__ = ["Fig7Panel", "Fig7Result", "fig7_cells", "run_fig7"]
 
 
 @dataclass
@@ -106,27 +106,20 @@ class Fig7Result:
         )
         return table + render_failure_section(self.failures)
 
-    # -- paper shape check ---------------------------------------------------
 
-    def winner_is_task_dataset_dependent(self) -> bool:
-        """Paper: 'Synchronous GPU achieves better convergence for
-        certain dataset/task pairs, while asynchronous CPU is better
-        for others' — both strategies must win somewhere."""
-        ws = set(self.winners().values()) - {"none"}
-        return len(ws) >= 2
+def fig7_cells(ctx: ExperimentContext):
+    """The grid cells Fig. 7 trains: the sync GPU cells plus both async
+    CPU candidates :meth:`~ExperimentContext.best_async_cpu` picks
+    between."""
+    sync = ctx.grid_cells(strategies=("synchronous",), architectures=("gpu",))
+    cpus = ("cpu-seq", "cpu-par")
+    return sync + ctx.grid_cells(strategies=("asynchronous",), architectures=cpus)
 
 
 def run_fig7(ctx: ExperimentContext | None = None) -> Fig7Result:
     """Regenerate the Fig. 7 comparison at the context's scale."""
     ctx = ctx or ExperimentContext()
-    # Sync GPU cells plus both async CPU candidates best_async_cpu picks
-    # between.
-    ctx.prefetch(
-        ctx.grid_cells(strategies=("synchronous",), architectures=("gpu",))
-        + ctx.grid_cells(
-            strategies=("asynchronous",), architectures=("cpu-seq", "cpu-par")
-        )
-    )
+    ctx.prefetch(fig7_cells(ctx))
     result = Fig7Result()
     for task in ctx.tasks:
         for dataset in ctx.datasets:

@@ -20,7 +20,7 @@ from ..utils.tables import render_table
 from .common import ExperimentContext
 from .resilience import CellFailure, nan_to_gap, render_failure_section
 
-__all__ = ["Table2Row", "Table2Result", "run_table2"]
+__all__ = ["Table2Row", "Table2Result", "run_table2", "table2_cells"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Table2Row:
 
 @dataclass
 class Table2Result:
-    """All rows plus rendering and shape checks."""
+    """All rows and their rendering (the shape checks live in the registry)."""
 
     rows: list[Table2Row] = field(default_factory=list)
     #: Quarantine records behind the gap rows (keep-going grids only).
@@ -109,32 +109,16 @@ class Table2Result:
         )
         return table + render_failure_section(self.failures)
 
-    # -- paper shape checks -----------------------------------------------
 
-    def gpu_always_fastest(self) -> bool:
-        """Paper: 'GPU is always faster than parallel CPU in time per
-        iteration and, thus, in time to convergence.'"""
-        return all(
-            r.tpi_gpu < r.tpi_cpu_par and r.ttc_gpu <= r.ttc_cpu_par
-            for r in self.rows
-            if not r.is_gap and math.isfinite(r.ttc_cpu_par)
-        )
-
-    def parallel_always_helps(self) -> bool:
-        """Paper: 'the parallel implementations always achieve
-        convergence faster' (than sequential)."""
-        return all(r.tpi_cpu_par < r.tpi_cpu_seq for r in self.rows if not r.is_gap)
-
-    def mlp_speedup_band(self, lo: float = 1.5, hi: float = 3.5) -> bool:
-        """Paper: MLP cpu-seq/cpu-par speedup ~2x (ViennaCL GEMM policy)."""
-        mlp = [r for r in self.rows if r.task == "mlp" and not r.is_gap]
-        return all(lo <= r.speedup_seq_over_par <= hi for r in mlp)
+def table2_cells(ctx: ExperimentContext):
+    """The grid cells Table II trains: every synchronous cell."""
+    return ctx.grid_cells(strategies=("synchronous",))
 
 
 def run_table2(ctx: ExperimentContext | None = None) -> Table2Result:
     """Regenerate Table II at the context's scale."""
     ctx = ctx or ExperimentContext()
-    ctx.prefetch(ctx.grid_cells(strategies=("synchronous",)))
+    ctx.prefetch(table2_cells(ctx))
     result = Table2Result()
     for task in ctx.tasks:
         for dataset in ctx.datasets:

@@ -37,6 +37,7 @@ __all__ = [
     "StalenessRow",
     "staleness_rows",
     "run_table3",
+    "table3_cells",
 ]
 
 
@@ -73,12 +74,6 @@ class Table3Row:
         """gpu / cpu-par time-per-iteration ratio (paper's last column:
         < 1 means the GPU iterates faster, > 1 slower)."""
         return self.tpi_gpu / self.tpi_cpu_par
-
-    @property
-    def cpu_wins_time_to_convergence(self) -> bool:
-        """Paper headline: async CPU always beats GPU to convergence."""
-        best_cpu = min(self.ttc_cpu_seq, self.ttc_cpu_par)
-        return best_cpu <= self.ttc_gpu
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,7 @@ def staleness_rows(manifest: dict[str, Any]) -> list[StalenessRow]:
 
 @dataclass
 class Table3Result:
-    """All rows plus rendering and shape checks."""
+    """All rows and their rendering (the shape checks live in the registry)."""
 
     rows: list[Table3Row] = field(default_factory=list)
     #: Quarantine records behind the gapped columns (keep-going only).
@@ -295,48 +290,16 @@ class Table3Result:
             ),
         )
 
-    # -- paper shape checks -----------------------------------------------
 
-    def cpu_always_wins(self) -> bool:
-        """Paper: '(parallel) CPU is (always) faster than GPU in time to
-        convergence' for asynchronous SGD."""
-        return all(r.cpu_wins_time_to_convergence for r in self.rows if not r.is_gap)
-
-    def gpu_wins_only_on_small_dense(self) -> set[tuple[str, str]]:
-        """Cells where the GPU won time-to-convergence.
-
-        At reduced dataset scale the simulated device staleness cannot
-        reach the paper's absolute in-flight window on the two smallest
-        datasets, so GPU wins there are an expected scale artifact; any
-        win on the large sparse datasets would be a real shape failure.
-        The returned set lets callers assert exactly that.
-        """
-        return {
-            (r.task, r.dataset)
-            for r in self.rows
-            if not r.is_gap and not r.cpu_wins_time_to_convergence
-        }
-
-    def dense_parallel_slower_per_iter(self) -> bool:
-        """Paper: on fully dense data (covtype) coherence storms make
-        parallel Hogwild slower per iteration than sequential."""
-        rows = [
-            r
-            for r in self.rows
-            if r.dataset == "covtype" and r.task in ("lr", "svm") and not r.is_gap
-        ]
-        return all(r.speedup_seq_over_par < 1.0 for r in rows)
-
-    def mlp_parallel_speedup_band(self, lo: float = 8.0) -> bool:
-        """Paper: Hogbatch cpu-par over cpu-seq speedup is 15-23x."""
-        mlp = [r for r in self.rows if r.task == "mlp" and not r.is_gap]
-        return all(r.speedup_seq_over_par >= lo for r in mlp)
+def table3_cells(ctx: ExperimentContext):
+    """The grid cells Table III trains: every asynchronous cell."""
+    return ctx.grid_cells(strategies=("asynchronous",))
 
 
 def run_table3(ctx: ExperimentContext | None = None) -> Table3Result:
     """Regenerate Table III at the context's scale."""
     ctx = ctx or ExperimentContext()
-    ctx.prefetch(ctx.grid_cells(strategies=("asynchronous",)))
+    ctx.prefetch(table3_cells(ctx))
     result = Table3Result()
     for task in ctx.tasks:
         for dataset in ctx.datasets:

@@ -59,6 +59,9 @@ class RunManifest:
     created_unix: float
     git_sha: str | None
     repro_version: str
+    #: Whether the package's one-BLAS-thread pin took effect
+    #: (:data:`repro.BLAS_PINNED`); ``None`` in manifests older than it.
+    blas_pinned: bool | None = None
     #: The exact configuration: every field of the run's
     #: :class:`~repro.sgd.config.RunConfig` (:meth:`RunConfig.to_dict`).
     config: dict[str, Any] = field(default_factory=dict)
@@ -111,7 +114,7 @@ def build_manifest(
     :class:`~repro.sgd.runner.TrainResult`, so a manifest is meaningful
     even without live telemetry.
     """
-    from .. import __version__
+    from .. import BLAS_PINNED, __version__
     from ..sgd.config import TOLERANCES
 
     epochs_run = result.curve.epochs[-1] if result.curve.epochs else 0
@@ -142,6 +145,7 @@ def build_manifest(
         created_unix=time.time(),
         git_sha=current_git_sha(),
         repro_version=__version__,
+        blas_pinned=BLAS_PINNED,
         config=config.to_dict(),
         dataset=dict(result.dataset_stats or {}),
         results=results,
@@ -171,13 +175,14 @@ def build_grid_manifest(
     a manifest; they are repeated under the top-level ``failures`` key
     so a degraded run is visible without scanning the cell list.
     """
-    from .. import __version__
+    from .. import BLAS_PINNED, __version__
 
     return {
         "schema": GRID_MANIFEST_SCHEMA,
         "created_unix": time.time(),
         "git_sha": current_git_sha(),
         "repro_version": __version__,
+        "blas_pinned": BLAS_PINNED,
         "jobs": jobs,
         "settings": dict(settings or {}),
         "cells": cells,

@@ -1,8 +1,8 @@
 """Smoke + structure tests for the experiment drivers (tiny scale).
 
-Full-scale shape assertions against the paper live in the benchmark
-suite; here we verify the drivers produce complete, well-formed results
-on a reduced grid quickly.
+Full-scale shape checks against the paper live in the artifact registry
+(``make shapes`` judges them); here we verify the drivers and the
+registry produce complete, well-formed results on a reduced grid quickly.
 """
 
 import math
@@ -62,6 +62,14 @@ class TestTable1:
         assert "covtype" in res.render()
 
 
+def _check(result, ctx, name):
+    """The registry check *name* evaluated on one driver's *result*."""
+    from repro.experiments import ARTIFACTS
+
+    checks = ARTIFACTS[name.split("/")[0]].checks(result, ctx)
+    return next(c for c in checks if c.name == name)
+
+
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self, ctx):
@@ -70,11 +78,11 @@ class TestTable2:
     def test_rows_complete(self, result, ctx):
         assert len(result.rows) == len(ctx.tasks) * len(ctx.datasets)
 
-    def test_gpu_fastest_per_iteration(self, result):
-        assert result.gpu_always_fastest()
+    def test_gpu_fastest_per_iteration(self, result, ctx):
+        assert _check(result, ctx, "table2/gpu-always-fastest").passed
 
-    def test_parallel_helps(self, result):
-        assert result.parallel_always_helps()
+    def test_parallel_helps(self, result, ctx):
+        assert _check(result, ctx, "table2/parallel-always-helps").passed
 
     def test_render_contains_columns(self, result):
         out = result.render()
@@ -267,10 +275,59 @@ class TestToleranceLadder:
             e.time_at(0.5)
 
 
-class TestReproduceAll:
+#: Every check the report makes; a check cannot disappear quietly.
+PINNED_CHECKS = [
+    "table1/complete",
+    "table1/statistics-in-band",
+    "table1/news-dispersion-heavy-tailed",
+    "table1/covtype-dispersion-flat",
+    "table2/complete",
+    "table2/sync-cells-converge",
+    "table2/gpu-always-fastest",
+    "table2/parallel-always-helps",
+    "table2/mlp-speedup-capped-near-2x",
+    "table2/mlp-gpu-speedup-band",
+    "table2/lr-svm-parallel-speedup-above-8x",
+    "table2/gpu-gap-grows-with-sparsity",
+    "table2/w8a-parallel-speedup-near-top",
+    "table3/complete",
+    "table3/cpu-wins-on-large-sparse",
+    "table3/dense-coherence-storm",
+    "table3/sparse-parallel-speedup",
+    "table3/gpu-iterates-faster-on-dense",
+    "table3/gpu-iterates-slower-on-news",
+    "table3/hogbatch-parallel-speedup",
+    "table3/mlp-gpu-slower-per-iteration",
+    "table3/staleness-costs-epochs",
+    "fig6/complete",
+    "fig6/speedup-grows-with-width",
+    "fig6/large-net-speedup-above-15x",
+    "fig6/speedup-below-thread-count",
+    "fig6/gpu-ratio-flat-for-wide-nets",
+    "fig7/complete",
+    "fig7/no-single-winner",
+    "fig7/most-panels-decided",
+    "fig7/curves-share-initial-loss",
+    "fig7/async-side-is-best-cpu",
+    "fig8/complete",
+    "fig8/ours-not-dominated-by-bidmach",
+    "fig8/bidmach-collapses-on-sparse",
+    "fig8/comparable-on-dense",
+    "fig8/async-gpu-loses-on-sparse",
+    "fig8/async-gpu-wins-on-dense",
+    "fig9/complete",
+    "fig9/superior-to-tensorflow",
+    "fig9/sync-speedup-band",
+    "fig9/hogbatch-gpu-below-0.6x",
+]
+
+
+class TestRegistry:
+    """The artifact registry over a tiny lr/mlp x covtype/w8a grid."""
+
     @pytest.fixture(scope="class")
     def report(self):
-        from repro.experiments import ExperimentContext, reproduce_all
+        from repro.experiments import ARTIFACTS, run_artifacts
 
         rctx = ExperimentContext(
             scale="tiny",
@@ -280,31 +337,48 @@ class TestReproduceAll:
             async_max_epochs=100,
             tolerance=0.05,
         )
-        return reproduce_all(rctx)
+        return rctx, run_artifacts(rctx, ARTIFACTS)
 
-    def test_all_artifacts_present(self, report):
-        assert len(report.table2.rows) == 4
-        assert len(report.table3.rows) == 4
-        assert len(report.fig7.panels) == 4
-        assert report.fig6.points
+    def test_every_check_evaluates(self, report):
+        from repro.experiments import render_report
 
-    def test_verdicts_named_and_retrievable(self, report):
-        names = {v.name for v in report.verdicts}
-        assert "table2/gpu-always-fastest" in names
-        assert "fig7/no-single-winner" in names
-        v = report.verdict("table2/gpu-always-fastest")
-        assert isinstance(v.reproduced, bool)
-        with pytest.raises(KeyError):
-            report.verdict("nope")
+        text, checks = render_report(*report)
+        assert text.startswith("# EXPERIMENTS")
+        for name in report[1]:
+            assert f"{name}/complete" in {c.name for c in checks if c.passed}
+        # One row per check in the "Shape checks" table.
+        table = text.split("## Shape checks")[1].split("\n## ")[0]
+        assert table.count("\n| `") == len(checks)
 
-    def test_comparison_tables_render(self, report):
-        # tiny grid lacks some paper cells; the comparisons silently
-        # restrict themselves to the regenerated subset.
-        out2 = report.comparison_table2()
-        out3 = report.comparison_table3()
-        assert "paper vs ours" in out2 and "paper vs ours" in out3
-        assert "covtype" in out2 and "real-sim" not in out2
+    def test_check_names_are_pinned(self, report):
+        from repro.experiments import render_report
 
-    def test_verdict_rendering(self, report):
-        out = report.render_verdicts()
-        assert "claim" in out and "verdict" in out
+        assert [c.name for c in render_report(*report)[1]] == PINNED_CHECKS
+
+    def test_comparisons_hold_only_regenerated_cells(self, report):
+        from repro.experiments import ARTIFACTS
+
+        _, results = report
+        for name in ("table2", "table3"):
+            out = ARTIFACTS[name].comparison(results[name])
+            assert "paper vs ours" in out
+            rows = [line.split("|")[:2] for line in out.splitlines()[4:]]
+            assert sorted((t.strip(), d.strip()) for t, d in rows) == [
+                ("lr", "covtype"), ("lr", "w8a"), ("mlp", "covtype"), ("mlp", "w8a")
+            ]
+
+    def test_failing_check_renders_not_reproduced(self, report):
+        from dataclasses import replace
+
+        from repro.experiments import render_report
+
+        ctx, results = report
+        text, _ = render_report(ctx, results)
+        assert "NOT reproduced" not in text
+        # A GPU no faster than parallel CPU per iteration breaks Table II.
+        t2 = results["table2"]
+        slow = replace(t2, rows=[replace(r, tpi_gpu=r.tpi_cpu_par) for r in t2.rows])
+        text, checks = render_report(ctx, {**results, "table2": slow})
+        assert "table2/gpu-always-fastest" in {c.name for c in checks if not c.passed}
+        assert "| `table2/gpu-always-fastest` | NOT reproduced |" in text
+        assert "GPU always fastest per iteration/ttc: **NOT reproduced**" in text

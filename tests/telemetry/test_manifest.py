@@ -35,6 +35,7 @@ class TestBuildManifest:
         m = build_manifest(result, tel, CONFIG)
         assert m.schema == MANIFEST_SCHEMA
         assert m.repro_version == repro.__version__
+        assert m.blas_pinned is True  # tests/conftest.py imports repro first
         assert m.config["task"] == "lr"
         assert m.config["dataset"] == "w8a"
         assert m.config["scale"] == "tiny"
@@ -108,3 +109,13 @@ class TestRoundTrip:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(data))
         assert load_manifest(path) == m
+
+    def test_manifest_without_blas_flag_loads(self, tmp_path):
+        """Manifests written before ``blas_pinned`` existed still load."""
+        data = build_manifest(_tiny_result(), None, CONFIG).to_dict()
+        del data["blas_pinned"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        loaded = load_manifest(path)
+        assert loaded.blas_pinned is None
+        assert loaded.config == data["config"]

@@ -52,3 +52,21 @@ def test_mlp_params_do_not_depend_on_exported_blas_threads(tmp_path):
         (result,) = json.loads(out.read_text())["results"]
         params[threads] = result["params"]
     assert params["2"] == params["1"]
+
+
+def test_manifests_record_whether_the_pin_took_effect():
+    """The pin cannot act on a BLAS NumPy already loaded: a process that
+    imported NumPy before the package says so in its manifests."""
+    probe = (
+        "import repro; from repro.telemetry import build_grid_manifest; "
+        "print(repro.BLAS_PINNED, build_grid_manifest([])['blas_pinned'])"
+    )
+    for prelude, expected in (("", "True True"), ("import numpy; ", "False False")):
+        out = subprocess.run(
+            [sys.executable, "-c", prelude + probe],
+            env={**os.environ, "PYTHONPATH": SRC},
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        assert out.stdout.strip() == expected, prelude

@@ -124,6 +124,20 @@ class TestCommands:
             assert row["max_epochs"] == packaged[key]["max_epochs"], key
             assert row["step"] is None or row["step"] in row["grid"], key
 
+    def test_experiments_report_resumes_byte_identical(self, tmp_path, capsys):
+        """The report depends on no timing: a resumed rerun of the same
+        grid prints the same document, its shape checks included."""
+        argv = [
+            "experiments", "--tasks", "lr", "--datasets", "w8a", "--scale",
+            "tiny", "--tolerance", "0.05", "--store", str(tmp_path / "store"),
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main([*argv, "--resume"]) == 0
+        assert capsys.readouterr().out == first
+        assert first.startswith("# EXPERIMENTS")
+        assert "| `table2/complete` | reproduced |" in first
+
     def test_fig6(self, capsys):
         assert main(["fig6", "--scale", "tiny"]) == 0
         assert "par/seq" in capsys.readouterr().out
