@@ -56,6 +56,9 @@ class Dataset:
     y: np.ndarray
     profile: DatasetProfile
     _dense_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: GPU warp-divergence factor of the row lengths, memoised by
+    #: :meth:`repro.hardware.AsyncWorkload.for_linear`.
+    _warp_divergence: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.X.shape[0]

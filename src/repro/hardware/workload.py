@@ -106,6 +106,10 @@ class AsyncWorkload:
         *profile* selects the scale at which hardware efficiency is
         reported; it defaults to the full paper profile matching the
         dataset's name so per-iteration times correspond to Table III.
+        The profile's line statistics are memoised per process
+        (:func:`~repro.hardware.coherence.zipf_line_frequencies`) and
+        the warp-divergence factor per dataset, so pricing another
+        configuration on the same data recomputes neither.
         """
         if profile is None:
             from ..datasets.profiles import PAPER_PROFILES
@@ -128,7 +132,11 @@ class AsyncWorkload:
             lines = max(1.0, float(nnz))  # sparse coords rarely share lines
             data_bytes = nnz * (FLOAT64_BYTES + INT32_BYTES)
             if dataset.is_sparse:
-                divergence = warp_divergence_factor(dataset.X.row_nnz)
+                if dataset._warp_divergence is None:
+                    dataset._warp_divergence = warp_divergence_factor(
+                        dataset.X.row_nnz
+                    )
+                divergence = dataset._warp_divergence
             else:
                 divergence = 1.0
         return AsyncWorkload(

@@ -496,13 +496,13 @@ def run(
             config.batch_size,
         )
         res = train_asynchronous(model, ds.X, ds.y, init, sgd_config, schedule, tel)
-        if task == "mlp":
-            workload = AsyncWorkload.for_batched(
-                ds, model, config.batch_size, profile=full
-            )
-        else:
-            workload = AsyncWorkload.for_linear(ds, model, profile=full)
         with tel.span("hardware.cost", architecture=architecture) as costing:
+            if task == "mlp":
+                workload = AsyncWorkload.for_batched(
+                    ds, model, config.batch_size, profile=full
+                )
+            else:
+                workload = AsyncWorkload.for_linear(ds, model, profile=full)
             if architecture == "cpu-seq":
                 tpi = cpu.async_epoch_time(workload, 1, tel)
             elif architecture == "cpu-par":
