@@ -39,23 +39,76 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import re
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 from . import experiments
 from .datasets import DATASET_NAMES
 from .models import TASK_NAMES
 from .faults import FaultPlan
-from .sgd import ARCHITECTURES, BACKENDS, STEP_GRID, STRATEGIES, RunConfig, run
+from .sgd import STEP_GRID, RunConfig, run
 
 _ARTIFACTS = tuple(experiments.ARTIFACTS)
 
 
+#: The CLI's defaults for the fields :class:`RunConfig` requires.
+_CLI_DEFAULTS = {"task": "lr", "dataset": "w8a"}
+
+#: Earlier flag spellings, kept as aliases of the generated ones.
+_ALIASES = {
+    "step_size": ("--step",),
+    "max_epochs": ("--epochs",),
+    "early_stop_tolerance": ("--tolerance",),
+    "checkpoint_dir": ("--ps-checkpoint-dir",),
+    "checkpoint_every": ("--ps-checkpoint-every",),
+    "checkpoint_seconds": ("--ps-checkpoint-seconds",),
+    "fault_plan": ("--inject-fault",),
+}
+
+_TYPES = {"int": int, "float": float, "str": str}
+
+#: Inline RST (``literal``, :role:`~a.b.name`) as it should read in a terminal.
+_RST = re.compile(r"(?::\w+:)?`+(?:~[\w.]*\.)?([^`]*)`+")
+
+
+@functools.cache
+def _field_help() -> dict[str, str]:
+    """:class:`RunConfig`'s ``Attributes`` entries, keyed by field name."""
+    doc = RunConfig.__doc__ or ""
+    entries = re.findall(r"^    (\w+):\n((?:        .*\n)+)", doc, re.M)
+    return {
+        name: _RST.sub(r"\1", " ".join(text.split())).replace("%", "%%")
+        for name, text in entries
+    }
+
+
+def _add_config_args(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    """One ``--field-name`` option per named :class:`RunConfig` field:
+    type from the annotation, choices and default from the field, help
+    from the class docstring; its dest is the field name."""
+    help_ = _field_help()
+    for f in fields(RunConfig):
+        if f.name not in names:
+            continue
+        flags = (f"--{f.name.replace('_', '-')}", *_ALIASES.get(f.name, ()))
+        kind = f.type.partition(" | ")[0]
+        default = _CLI_DEFAULTS[f.name] if f.default is MISSING else f.default
+        kwargs = {"default": default, "help": help_.get(f.name)}
+        if kind == "bool":
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif kind == "FaultPlan":  # specs, parsed by FaultPlan.parse
+            kwargs.update(action="append", metavar="SPEC")
+        else:
+            kwargs.update(type=_TYPES[kind], choices=f.metadata.get("choices"))
+        p.add_argument(*flags, **kwargs)
+
+
 def _add_context_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scale", default="small", help="dataset scale (tiny/small/medium)")
-    p.add_argument("--seed", type=int, default=None, help="generation seed")
+    _add_config_args(p, ("scale", "seed"))
     p.add_argument(
         "--tolerance", type=float, default=0.01, help="convergence tolerance"
     )
@@ -360,18 +413,16 @@ def _report_grid(args: argparse.Namespace, ctx, **settings) -> None:
         print(f"grid manifest written to {args.manifest_out}", file=sys.stderr)
 
 
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The run ``train``'s options describe (their dests are the fields)."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    if values["fault_plan"]:
+        values["fault_plan"] = FaultPlan.parse(values["fault_plan"], seed=args.seed)
+    return RunConfig(**values)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
-    # The train options' dests are RunConfig's field names.
-    names = {f.name for f in fields(RunConfig)}
-    config = RunConfig(
-        **{name: value for name, value in vars(args).items() if name in names},
-        early_stop_tolerance=args.tolerance,
-        fault_plan=(
-            FaultPlan.parse(args.inject_fault, seed=args.seed)
-            if args.inject_fault
-            else None
-        ),
-    )
+    config = _run_config(args)
     telemetry = _make_telemetry(args)
     result = run(config, telemetry=telemetry, snapshot_out=args.snapshot_out)
     if args.model_out:
@@ -486,7 +537,7 @@ def _cmd_gridsearch(args: argparse.Namespace) -> int:
     ctx = _make_context(args)
     if args.table is None:
         cell = ctx.config_for(args.task, args.dataset, args.architecture, args.strategy)
-        base = replace(cell, max_epochs=args.epochs)  # None: RunConfig's default
+        base = replace(cell, max_epochs=args.max_epochs)  # None: RunConfig's default
         results = {None: steps.rank_steps(ctx, [(base, STEP_GRID)])[0]}
     else:
         results = steps.regenerate(ctx)
@@ -568,132 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiments)
 
     p = sub.add_parser("train", help="run one configuration")
-    p.add_argument("--task", choices=TASK_NAMES, default="lr")
-    p.add_argument("--dataset", choices=DATASET_NAMES, default="w8a")
-    p.add_argument("--architecture", choices=ARCHITECTURES, default="cpu-par")
-    p.add_argument("--strategy", choices=STRATEGIES, default="asynchronous")
-    p.add_argument(
-        "--step",
-        dest="step_size",
-        type=float,
-        default=None,
-        metavar="STEP",
-        help="step size (default: tuned)",
-    )
-    p.add_argument(
-        "--epochs",
-        dest="max_epochs",
-        type=int,
-        default=None,
-        metavar="EPOCHS",
-        help="max epochs",
-    )
-    p.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="simulated",
-        help="execution backend: 'simulated' (asynchrony simulator + "
-        "analytical hardware time), 'shm' (real shared-memory worker "
-        "processes, measured wall-clock time) or 'ps' (worker processes "
-        "against a sharded parameter server over local TCP); the "
-        "measured backends run asynchronous lr/svm only",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --backend shm (default: up to 4, "
-        "bounded by the host's cores)",
-    )
-    p.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --backend ps (default: up to 4, "
-        "bounded by the host's cores)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="S",
-        help="--backend ps: parameter shards on the server (default: "
-        "derived from the model size, at most 8)",
-    )
-    p.add_argument(
-        "--max-staleness",
-        type=int,
-        default=None,
-        metavar="K",
-        help="--backend ps: bounded-staleness window in work items — a "
-        "worker more than K items ahead of the slowest live worker "
-        "blocks on pull (default: unbounded fast-async; 0 = lock-step)",
-    )
-    p.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="B",
-        help="rows per update (default: 512 for the simulated MLP "
-        "Hogbatch, 1 for --backend shm; shm with B>1 runs measured "
-        "Hogbatch)",
-    )
-    p.add_argument(
-        "--epoch-timeout",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="measured backends: seconds the parent waits at an epoch "
-        "barrier before declaring the run dead (default 120)",
-    )
-    p.add_argument(
-        "--ps-checkpoint-dir",
-        dest="checkpoint_dir",
-        default=None,
-        metavar="DIR",
-        help="--backend ps: directory for the server's versioned shard "
-        "checkpoints; enables epoch-boundary checkpointing and (under "
-        "--max-restarts) crash-restart failover of the shard server",
-    )
-    p.add_argument(
-        "--ps-checkpoint-every",
-        dest="checkpoint_every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="--backend ps: background checkpoint every N pushes since "
-        "the last write (requires --ps-checkpoint-dir)",
-    )
-    p.add_argument(
-        "--ps-checkpoint-seconds",
-        dest="checkpoint_seconds",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="--backend ps: background checkpoint every SEC seconds "
-        "since the last write (requires --ps-checkpoint-dir)",
-    )
-    p.add_argument(
-        "--inject-fault",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="measured backends: inject a seeded fault, format "
-        "kind@epoch[:wK][:seconds] with kind in kill|stall|delay|nan "
-        "for --backend shm or node-kill|node-stall for --backend ps "
-        "(e.g. kill@3, stall@2:w1, node-kill@2); repeatable",
-    )
-    p.add_argument(
-        "--max-restarts",
-        type=int,
-        default=0,
-        metavar="N",
-        help="measured backends: recover from up to N worker failures "
-        "(repartition onto survivors / respawn with timeout backoff) "
-        "before giving up; 0 fails fast",
-    )
+    _add_config_args(p, tuple(f.name for f in fields(RunConfig)))
     p.add_argument(
         "--snapshot-out",
         default=None,
@@ -722,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the reproducible run manifest (config, dataset, git SHA, "
         "counters, final metrics) to PATH",
     )
-    _add_context_args(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser(
@@ -792,17 +717,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("ladder", help="time-to-convergence at 10/5/2/1%%")
-    p.add_argument("--task", choices=TASK_NAMES, default="lr")
-    p.add_argument("--dataset", choices=DATASET_NAMES, default="w8a")
+    _add_config_args(p, ("task", "dataset"))
     _add_context_args(p)
     p.set_defaults(func=_cmd_ladder)
 
     p = sub.add_parser("gridsearch", help="the step-size protocol (or its table)")
-    p.add_argument("--task", choices=TASK_NAMES, default="lr")
-    p.add_argument("--dataset", choices=DATASET_NAMES, default="w8a")
-    p.add_argument("--architecture", choices=ARCHITECTURES, default="cpu-par")
-    p.add_argument("--strategy", choices=STRATEGIES, default="asynchronous")
-    p.add_argument("--epochs", type=int, help="default: 400 sync, 150 async")
+    _add_config_args(
+        p, ("task", "dataset", "architecture", "strategy", "max_epochs")
+    )
     p.add_argument(
         "--table",
         metavar="PATH",

@@ -112,8 +112,10 @@ _KILL_EXIT_CODE = 23
 _DEFAULT_STALL_SECONDS = 3600.0
 
 #: The :class:`RunConfig` fields that, with the job kind, the tolerance
-#: and a sync base's hardware fingerprint, key a stored cell.  Fixed:
-#: changing them silently invalidates every store on disk.
+#: and a sync base's hardware fingerprint, key every stored cell; any
+#: other field joins the key only when it differs from
+#: ``RunConfig(**these)``.  Fixed: changing them silently invalidates
+#: every store on disk.
 _STORE_KEY_FIELDS = (
     "task",
     "dataset",
@@ -167,9 +169,11 @@ class _Job:
     @property
     def config(self) -> dict[str, Any]:
         """The result-store key material of this job."""
-        run_config: RunConfig = self.payload["config"]
-        key = {name: getattr(run_config, name) for name in _STORE_KEY_FIELDS}
-        key["tolerance"] = run_config.early_stop_tolerance
+        values = self.payload["config"].to_dict()
+        key = {name: values.pop(name) for name in _STORE_KEY_FIELDS}
+        base = RunConfig(**key).to_dict()
+        key["tolerance"] = values.pop("early_stop_tolerance")
+        key.update((name, v) for name, v in values.items() if v != base[name])
         key["kind"] = self.kind
         if self.hardware is not None:
             key["hardware"] = self.hardware

@@ -1,12 +1,13 @@
 """Resumable on-disk store of completed experiment-grid cells.
 
 One file per completed cell, named by the SHA-256 of the cell's
-canonical configuration (task, dataset, architecture, strategy, plus
-every knob that changes the numbers: scale, seed, epoch budget, step
-size, tolerance).  A grid interrupted at cell k restarts with
-``--resume`` and replays cells 0..k-1 from disk instead of recomputing
-them; any configuration change hashes to different keys, so a stale
-store can never leak wrong results into a new grid.
+canonical configuration: task, dataset, architecture, strategy, scale,
+seed, step size, epoch budget and tolerance, plus every other
+:class:`~repro.sgd.RunConfig` field moved off the cell's default, so
+everything that changes the numbers.  A grid interrupted at cell k
+restarts with ``--resume`` and replays cells 0..k-1 from disk instead of
+recomputing them; any configuration change hashes to different keys, so
+a stale store can never leak wrong results into a new grid.
 
 Writes are atomic (temp file + ``os.replace`` in the store directory),
 so a cell file is either absent or complete — a worker killed

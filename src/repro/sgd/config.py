@@ -11,11 +11,13 @@ manifest's ``config`` are all read off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any
 
+from ..datasets import DATASET_NAMES, SCALES
 from ..datasets.synthetic import Dataset
 from ..faults import FaultPlan
+from ..models import TASK_NAMES
 from ..utils.errors import ConfigurationError
 from ..utils.rng import DEFAULT_SEED
 
@@ -128,6 +130,13 @@ class SGDConfig:
             raise ConfigurationError("divergence_factor must exceed 1")
 
 
+#: ``metadata`` of the :class:`RunConfig` fields only some backends read:
+#: setting one for another backend is refused.
+_SHM = {"backends": ("shm",)}
+_PS = {"backends": ("ps",)}
+_MEASURED = {"backends": ("shm", "ps")}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One configuration of the paper's exploratory space: the fields are
@@ -136,6 +145,11 @@ class RunConfig:
     count), so every consumer sees the values the run uses.  ``seed``
     stays as given (``None`` too): the dataset cache and the shared-memory
     registry are keyed on ``(name, scale, seed)`` as passed.
+
+    A field with a closed set of values lists it as ``metadata["choices"]``,
+    and one only some backends read lists them as ``metadata["backends"]``.
+    Each ``Attributes`` entry below is also the ``repro train`` help of
+    its ``--field-name`` flag.
 
     Attributes
     ----------
@@ -151,6 +165,9 @@ class RunConfig:
         ``"synchronous"`` (blocking batch gradient descent) or
         ``"asynchronous"`` (Hogwild for lr/svm, mini-batch/Hogbatch for
         mlp).
+    scale:
+        Size caps applied to a named dataset's paper profile:
+        ``"tiny"``, ``"small"``, ``"medium"`` or ``"paper"`` (full size).
     step_size:
         Learning rate; defaults to the (task, strategy) fallback.
     max_epochs:
@@ -158,9 +175,13 @@ class RunConfig:
     batch_size:
         Mini-batch rows per update.  ``None`` (the default) resolves
         per backend: 512 for the simulated MLP Hogbatch (the paper's
-        B) and 1 (pure Hogwild) for the shm backend.  With
-        ``backend="shm"`` an explicit value > 1 runs *measured*
-        Hogbatch: one vectorised lock-free work item per batch.
+        B) and 1 (pure Hogwild, one row per work item) for the measured
+        backends.  With ``backend="shm"`` an explicit value > 1 runs
+        *measured* Hogbatch: one vectorised lock-free work item per
+        batch.
+    seed:
+        Seed of the dataset generation, the epoch shuffles and the
+        fault plan's worker choices; ``None`` uses the library default.
     early_stop_tolerance:
         Stop once the loss is within this tolerance of the optimum
         (``None`` disables; the curve then runs to max_epochs).
@@ -175,11 +196,14 @@ class RunConfig:
         otherwise sparse problem.  lr/svm only (the MLP pipeline is
         dense by construction).
     backend:
-        One of :data:`BACKENDS`.  The measured ones (``"shm"``:
-        :func:`repro.parallel.train_shm`, ``"ps"``:
-        :func:`repro.distributed.train_ps`) report wall-clock seconds
-        per epoch in ``time_per_iter`` plus a ``measured`` record, and
-        apply to asynchronous lr/svm configurations.
+        ``"simulated"`` runs the asynchrony simulator and prices time
+        with the analytical machine models.  The measured backends run
+        asynchronous lr/svm only and report wall-clock seconds per
+        epoch in ``time_per_iter`` plus a ``measured`` record:
+        ``"shm"`` runs lock-free worker processes over a shared-memory
+        model (:func:`repro.parallel.train_shm`), ``"ps"`` runs worker
+        processes against a sharded parameter server over local TCP
+        (:func:`repro.distributed.train_ps`).
     threads:
         Worker processes for the shm backend (default: up to 4,
         bounded by the host's cores).  shm only.
@@ -213,10 +237,14 @@ class RunConfig:
         Measured backends: seconds the parent waits for an epoch
         barrier before declaring the run dead (default 120).
     fault_plan:
-        Seeded faults to inject into the measured backends' workers
-        (chaos testing); see :class:`repro.faults.FaultPlan` — the
-        shm backend takes the worker-level kinds, the ps backend the
-        node-level kinds (``node-kill`` / ``node-stall``).
+        Seeded faults to inject into the measured backends (chaos
+        testing), a :class:`repro.faults.FaultPlan`; on the command
+        line one repeatable ``kind@epoch[:wK][:seconds]`` spec each
+        (``wK`` targets worker K, a bare number is a stall/delay
+        duration).  The shm backend takes ``kill``, ``stall``,
+        ``delay`` and ``nan``; the ps backend takes ``node-kill``,
+        ``node-stall``, ``server-kill`` and ``server-stall``.  E.g.
+        ``kill@3``, ``stall@2:w1``, ``node-kill@2``.
     max_restarts:
         Recovery budget for measured-backend worker failures: dead
         workers are recovered by re-partitioning their examples over
@@ -226,29 +254,31 @@ class RunConfig:
         default) fails fast.
     """
 
-    task: str
-    dataset: str | Dataset
-    architecture: str = "cpu-par"
-    strategy: str = "asynchronous"
-    scale: str = "small"
+    task: str = field(metadata={"choices": TASK_NAMES})
+    dataset: str | Dataset = field(metadata={"choices": DATASET_NAMES})
+    architecture: str = field(default="cpu-par", metadata={"choices": ARCHITECTURES})
+    strategy: str = field(default="asynchronous", metadata={"choices": STRATEGIES})
+    scale: str = field(default="small", metadata={"choices": tuple(SCALES)})
     step_size: float | None = None
     max_epochs: int | None = None
     batch_size: int | None = None
     seed: int | None = None
     early_stop_tolerance: float | None = 0.01
-    representation: str = "auto"
-    backend: str = "simulated"
-    threads: int | None = None
-    track_conflicts: bool = True
-    nodes: int | None = None
-    shards: int | None = None
-    max_staleness: int | None = None
-    checkpoint_dir: str | None = None
-    checkpoint_every: int | None = None
-    checkpoint_seconds: float | None = None
-    epoch_timeout: float | None = None
-    fault_plan: FaultPlan | None = None
-    max_restarts: int = 0
+    representation: str = field(
+        default="auto", metadata={"choices": ("auto", "dense", "sparse")}
+    )
+    backend: str = field(default="simulated", metadata={"choices": BACKENDS})
+    threads: int | None = field(default=None, metadata=_SHM)
+    track_conflicts: bool = field(default=True, metadata=_SHM)
+    nodes: int | None = field(default=None, metadata=_PS)
+    shards: int | None = field(default=None, metadata=_PS)
+    max_staleness: int | None = field(default=None, metadata=_PS)
+    checkpoint_dir: str | None = field(default=None, metadata=_PS)
+    checkpoint_every: int | None = field(default=None, metadata=_PS)
+    checkpoint_seconds: float | None = field(default=None, metadata=_PS)
+    epoch_timeout: float | None = field(default=None, metadata=_MEASURED)
+    fault_plan: FaultPlan | None = field(default=None, metadata=_MEASURED)
+    max_restarts: int = field(default=0, metadata=_MEASURED)
 
     def __post_init__(self) -> None:
         self._validate()
@@ -274,79 +304,45 @@ class RunConfig:
             object.__setattr__(self, name, value)
 
     def _validate(self) -> None:
-        if self.task not in ("lr", "svm", "mlp"):
-            raise ConfigurationError(f"unknown task {self.task!r}")
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigurationError(
-                f"unknown architecture {self.architecture!r}; "
-                f"available: {ARCHITECTURES}"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown strategy {self.strategy!r}; available: {STRATEGIES}"
-            )
-        if self.representation not in ("auto", "dense", "sparse"):
-            raise ConfigurationError(
-                f"unknown representation {self.representation!r}; "
-                "use 'auto', 'dense' or 'sparse'"
-            )
+        # A dataset name is checked where it is loaded (inside the grid
+        # worker that runs it), so a grid reports it as that cell's failure.
+        refused: dict[tuple[str, ...], list[str]] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            choices = f.metadata.get("choices")
+            if choices and f.name != "dataset" and value not in choices:
+                raise ConfigurationError(
+                    f"unknown {f.name} {value!r}; available: {', '.join(choices)}"
+                )
+            backends = f.metadata.get("backends")
+            if backends and self.backend not in backends and value != f.default:
+                refused.setdefault(backends, []).append(f.name)
         if self.representation != "auto" and self.task == "mlp":
             raise ConfigurationError(
                 "representation overrides apply to lr/svm; the MLP pipeline is "
                 "dense by construction (feature grouping densifies the data)"
             )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; available: {BACKENDS}"
-            )
         if self.max_restarts < 0:
             raise ConfigurationError(
                 f"max_restarts must be >= 0, got {self.max_restarts}"
             )
-        if self.measured:
-            if self.strategy != "asynchronous" or self.task == "mlp":
-                raise ConfigurationError(
-                    f"the {self.backend} backend runs asynchronous lr/svm "
-                    "configurations; use backend='simulated' for synchronous "
-                    "or MLP runs"
-                )
-        else:
-            self._refuse_set(
-                ("epoch_timeout", "fault_plan", "max_restarts"),
-                "configure the measured backends; pass backend='shm' or "
-                "backend='ps' (the simulated backend's concurrency and "
-                "failure model come from the architecture's machine model)",
+        if self.measured and (self.strategy != "asynchronous" or self.task == "mlp"):
+            raise ConfigurationError(
+                f"the {self.backend} backend runs asynchronous lr/svm "
+                "configurations; use backend='simulated' for synchronous "
+                "or MLP runs"
             )
-        if self.backend != "shm":
-            self._refuse_set(
-                ("threads", "track_conflicts"),
-                "configure the shm backend; pass backend='shm'",
+        if refused:
+            backends, names = next(iter(refused.items()))
+            raise ConfigurationError(
+                f"{', '.join(names)} configure the {' or '.join(backends)} "
+                f"backend; pass {' or '.join(f'backend={b!r}' for b in backends)}"
             )
-        if self.backend != "ps":
-            self._refuse_set(
-                (
-                    "nodes",
-                    "shards",
-                    "max_staleness",
-                    "checkpoint_dir",
-                    "checkpoint_every",
-                    "checkpoint_seconds",
-                ),
-                "configure the ps backend; pass backend='ps'",
-            )
-
-    def _refuse_set(self, names: tuple[str, ...], why: str) -> None:
-        """Reject the fields in *names* that were moved off their default
-        (a backend-specific knob set for a backend that ignores it)."""
-        defaults = self.__dataclass_fields__
-        offending = [n for n in names if getattr(self, n) != defaults[n].default]
-        if offending:
-            raise ConfigurationError(f"{', '.join(offending)} {why}")
 
     @property
     def measured(self) -> bool:
         """Whether the backend runs real processes (shm / ps)."""
-        return self.backend in ("shm", "ps")
+        return self.backend in _MEASURED["backends"]
 
     @property
     def dataset_name(self) -> str:

@@ -79,6 +79,42 @@ class TestConfigKey:
         )
 
 
+class TestKeyCoversEveryField:
+    """A field moved off the cell's default joins the store key, so two
+    runs that differ only there never share one stored result."""
+
+    @staticmethod
+    def config(**overrides):
+        from repro.sgd import RunConfig
+
+        return RunConfig(
+            "lr", "w8a", "cpu-par", "asynchronous", scale="tiny", max_epochs=5,
+            **overrides,
+        )
+
+    def test_representation_twin_is_executed_not_resumed(self, tmp_path):
+        from repro.experiments import ExperimentContext, GridExecutor
+        from repro.sgd import run
+
+        ctx = ExperimentContext(scale="tiny", store=ResultStore(tmp_path), resume=True)
+        executor = GridExecutor(ctx)
+        (auto,) = executor.run_configs([self.config()])
+        (dense,) = executor.run_configs([self.config(representation="dense")])
+        assert [r["source"] for r in executor.cell_records] == ["executed", "executed"]
+        fresh = run(self.config(representation="dense"))
+        assert dense.time_per_iter == fresh.time_per_iter != auto.time_per_iter
+        assert dense.curve.losses == fresh.curve.losses
+
+    def test_measured_key_names_its_backend_knobs(self):
+        from repro.experiments import ExperimentContext, GridExecutor
+
+        job = GridExecutor(ExperimentContext(scale="tiny"))._job(
+            self.config(backend="shm", threads=2)
+        )
+        assert {"backend", "threads", "batch_size"} <= set(job.config)
+        assert (job.config["backend"], job.config["threads"]) == ("shm", 2)
+
+
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
         store = ResultStore(tmp_path)

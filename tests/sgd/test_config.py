@@ -1,8 +1,12 @@
-"""Tests for SGDConfig and the protocol constants."""
+"""Tests for SGDConfig, RunConfig's field declarations and the protocol
+constants."""
+
+import re
+from dataclasses import fields
 
 import pytest
 
-from repro.sgd import STEP_GRID, TOLERANCES, SGDConfig
+from repro.sgd import STEP_GRID, TOLERANCES, RunConfig, SGDConfig
 from repro.utils.errors import ConfigurationError
 
 
@@ -42,3 +46,26 @@ class TestSGDConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             SGDConfig(**kwargs)
+
+
+class TestRunConfigFields:
+    def test_every_field_has_an_attributes_entry(self):
+        """The entries are ``repro train``'s help: a field without one
+        would print none."""
+        doc = RunConfig.__doc__
+        missing = [
+            f.name
+            for f in fields(RunConfig)
+            if not re.search(rf"^    {f.name}:\n        \S", doc, re.M)
+        ]
+        assert missing == []
+
+    @pytest.mark.parametrize(
+        "name",
+        ["task", "architecture", "strategy", "scale", "representation", "backend"],
+    )
+    def test_closed_fields_are_checked_against_their_choices(self, name):
+        (field,) = (f for f in fields(RunConfig) if f.name == name)
+        assert field.metadata["choices"]
+        with pytest.raises(ConfigurationError, match=f"unknown {name} 'bogus'; "):
+            RunConfig(**{"task": "lr", "dataset": "w8a", name: "bogus"})

@@ -2,13 +2,20 @@
 
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.__main__ import _make_context, build_parser, main
+from repro.__main__ import _field_help, _make_context, _run_config, build_parser, main
+from repro.faults import FaultPlan
+from repro.sgd import RunConfig
 
 
 class TestParser:
@@ -47,6 +54,112 @@ class TestParser:
                 parser.parse_args([*argv, "--help"])
             assert exit_.value.code == 0, argv
             assert "usage:" in capsys.readouterr().out
+
+
+class TestConfigFlags:
+    """``repro train``'s options are generated from RunConfig's fields."""
+
+    def test_train_help_lists_every_field(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        out = capsys.readouterr().out
+        for f in fields(RunConfig):
+            assert f"--{f.name.replace('_', '-')}" in out, f.name
+
+    def test_help_is_plain_text(self):
+        for name, text in _field_help().items():
+            assert text and not re.search(r"`|:\w+:", text), name
+
+    @pytest.mark.parametrize(
+        "legacy, generated, expected",
+        [
+            (["--step", "0.5"], ["--step-size", "0.5"], {"step_size": 0.5}),
+            (["--epochs", "7"], ["--max-epochs", "7"], {"max_epochs": 7}),
+            (
+                ["--tolerance", "0.2"],
+                ["--early-stop-tolerance", "0.2"],
+                {"early_stop_tolerance": 0.2},
+            ),
+            (
+                ["--backend", "ps", "--nodes", "1", "--ps-checkpoint-dir", "ck"],
+                ["--backend", "ps", "--nodes", "1", "--checkpoint-dir", "ck"],
+                {"checkpoint_dir": "ck"},
+            ),
+            (
+                ["--backend", "ps", "--nodes", "1", "--ps-checkpoint-every", "9"],
+                ["--backend", "ps", "--nodes", "1", "--checkpoint-every", "9"],
+                {"checkpoint_every": 9},
+            ),
+            (
+                ["--backend", "ps", "--nodes", "1", "--ps-checkpoint-seconds", "2.5"],
+                ["--backend", "ps", "--nodes", "1", "--checkpoint-seconds", "2.5"],
+                {"checkpoint_seconds": 2.5},
+            ),
+            (
+                ["--backend", "shm", "--threads", "2", "--seed", "3",
+                 "--inject-fault", "kill@2", "--inject-fault", "stall@3:w1"],
+                ["--backend", "shm", "--threads", "2", "--seed", "3",
+                 "--fault-plan", "kill@2", "--fault-plan", "stall@3:w1"],
+                {"fault_plan": FaultPlan.parse(["kill@2", "stall@3:w1"], seed=3)},
+            ),
+        ],
+        ids=[
+            "step", "epochs", "tolerance", "ps-checkpoint-dir",
+            "ps-checkpoint-every", "ps-checkpoint-seconds", "inject-fault",
+        ],
+    )
+    def test_legacy_spelling_builds_the_same_config(self, legacy, generated, expected):
+        parser = build_parser()
+        old = _run_config(parser.parse_args(["train", *legacy]))
+        assert old == _run_config(parser.parse_args(["train", *generated]))
+        for name, value in expected.items():
+            assert getattr(old, name) == value, name
+
+    def test_representation_reaches_the_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        rc = main(
+            [
+                "train", "--scale", "tiny", "--epochs", "2", "--representation",
+                "dense", "--manifest-out", str(manifest),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        assert json.loads(manifest.read_text())["config"]["representation"] == "dense"
+
+
+class TestMakefileRecipesParse:
+    """Every ``python -m repro`` command a Makefile target runs parses
+    under the current parser, so the recipes cannot drift from it."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def repro_commands(self, target):
+        out = subprocess.run(
+            ["make", "-n", "-B", "-C", str(self.ROOT), target],
+            capture_output=True, text=True, check=True,
+        ).stdout.replace("\\\n", " ")
+        for line in out.splitlines():
+            words = shlex.split(line)
+            for i in range(len(words) - 2):
+                if words[i + 1 : i + 3] == ["-m", "repro"]:
+                    argv = words[i + 3 :]
+                    end = [j for j, w in enumerate(argv) if w[0] in "><|&;"]
+                    yield argv[: end[0] if end else None]
+
+    def test_every_repro_recipe_parses(self):
+        if shutil.which("make") is None:
+            pytest.skip("make is not installed")
+        phony = re.search(r"^\.PHONY:(.*)$", (self.ROOT / "Makefile").read_text(), re.M)
+        parser, targets = build_parser(), set()
+        for target in phony.group(1).split():
+            for argv in self.repro_commands(target):
+                targets.add(target)
+                try:
+                    parser.parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"make {target}: cannot parse {shlex.join(argv)}")
+        assert len(targets) >= 9, sorted(targets)
 
 
 class TestCommands:
@@ -93,7 +206,7 @@ class TestCommands:
 
     def test_gridsearch_epoch_budget_from_config(self, capsys):
         args = build_parser().parse_args(["gridsearch"])
-        assert args.epochs is None
+        assert args.max_epochs is None
         main(
             [
                 "gridsearch", "--scale", "tiny", "--strategy", "synchronous",
