@@ -221,26 +221,73 @@ def _execute_job(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+class _Beat:
+    """A worker process's one heartbeat thread, armed per attempt.
+
+    Armed, it stamps the attempt's heartbeat slot at once and then every
+    *interval* seconds; disarmed, it waits and never stamps (both under
+    one lock, so no stamp lands after :meth:`disarm` returns).
+    """
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self._wake = threading.Condition()
+        self._slot = None
+        self._interval = 0.0
+        threading.Thread(target=self._run, name="grid-beat", daemon=True).start()
+
+    def arm(self, slot, interval: float) -> None:
+        with self._wake:
+            self._slot, self._interval = slot, interval
+            self._wake.notify()
+
+    def disarm(self) -> None:
+        with self._wake:
+            self._slot = None
+            self._wake.notify()
+
+    def _run(self) -> None:
+        with self._wake:
+            while True:
+                if self._slot is None:
+                    self._wake.wait()
+                else:
+                    self._slot.value = time.time()
+                    self._wake.wait(self._interval)
+
+
+_beat: _Beat | None = None
+
+
+def _worker_beat() -> _Beat:
+    """This process's :class:`_Beat`, started on first use.
+
+    Keyed on the pid: a child forked from a worker inherits the
+    worker's beat object but not its thread, so it starts its own.
+    """
+    global _beat
+    if _beat is None or _beat.pid != os.getpid():
+        _beat = _Beat()
+    return _beat
+
+
 def _run_attempt(task: tuple[dict[str, Any], float], heartbeat) -> dict[str, Any]:
     """One attempt of one job inside a pool worker (a pool task).
 
-    Injected kill/stall faults fire *before* the beat thread starts, so
-    a stalled worker's heartbeat stays at the parent's dispatch stamp
-    and the watchdog sees the silence.  Everything the worker has to
-    say is the returned dict: ``{"ok": True, ...}`` with the trained
-    result, or ``{"ok": False, ...}`` describing the exception.  A
-    worker that dies without replying is a crash.
+    Injected kill/stall faults fire *before* the worker's beat is armed,
+    so a stalled worker's heartbeat stays at the parent's dispatch stamp
+    and the watchdog sees the silence.  The beat is the worker's one
+    thread (:func:`_worker_beat`), armed with this attempt's slot and
+    interval and disarmed on the way out, so an idle worker never
+    beats.  Everything the worker has to say is the returned dict:
+    ``{"ok": True, ...}`` with the trained result, or ``{"ok": False,
+    ...}`` describing the exception.  A worker that dies without
+    replying is a crash.
     """
     payload, interval = task
     poison = _apply_grid_fault(payload)
-    stop = threading.Event()
-
-    def _beat() -> None:
-        while not stop.is_set():
-            heartbeat.value = time.time()
-            stop.wait(interval)
-
-    threading.Thread(target=_beat, daemon=True).start()
+    beat = _worker_beat()
+    beat.arm(heartbeat, interval)
     try:
         out = _execute_job(payload)
         if poison == "nan":
@@ -249,7 +296,7 @@ def _run_attempt(task: tuple[dict[str, Any], float], heartbeat) -> dict[str, Any
     except Exception as exc:  # noqa: BLE001 - ships the failure home
         return {"ok": False, "type": type(exc).__name__, "message": str(exc)}
     finally:
-        stop.set()
+        beat.disarm()
 
 
 #: What a keep-going grid counts for each kind of failed attempt.
@@ -793,7 +840,7 @@ class GridExecutor:
     def _record(self, cell: GridCell, source: str, pid, outcome, config) -> None:
         """Append *cell*'s provenance: its quarantine, or its result and
         the config that produced it."""
-        record: dict[str, Any] = {"cell": asdict(cell), "source": source}
+        record: dict[str, Any] = {"cell": dict(vars(cell)), "source": source}
         if isinstance(outcome, CellFailure):
             self.cell_records.append({**record, "failure": outcome.describe()})
             return

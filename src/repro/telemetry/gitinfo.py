@@ -25,9 +25,23 @@ def repo_root(start: str | pathlib.Path | None = None) -> pathlib.Path | None:
 
 
 def current_git_sha(start: str | pathlib.Path | None = None) -> str | None:
-    """The current commit SHA of the enclosing repository, or ``None``."""
-    root = repo_root(start)
+    """The current commit SHA of the enclosing repository, or ``None``.
+
+    With no *start*, the repository is the one enclosing this module.
+    """
+    root = repo_root(start) if start is not None else _module_root(__file__)
     return _sha_at(root) if root is not None else None
+
+
+@functools.lru_cache(maxsize=None)
+def _module_root(path: str) -> pathlib.Path | None:
+    """:func:`repo_root` of *path*, walked once per process and path.
+
+    Keyed on the module path rather than "no argument": resolving it
+    stats every parent directory, and a grid writes one manifest per
+    cell.
+    """
+    return repo_root(path)
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, TYPE_CHECKING
 
 from .export import write_text
@@ -76,8 +76,10 @@ class RunManifest:
     gauges: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-ready)."""
-        return asdict(self)
+        """Plain-dict form (JSON-ready), sharing no container with the
+        manifest: equal to ``dataclasses.asdict(self)`` without its
+        per-leaf ``copy.deepcopy`` (the leaves are JSON scalars)."""
+        return _copy_containers({f.name: getattr(self, f.name) for f in fields(self)})
 
     def to_json(self, indent: int = 2) -> str:
         """Serialised JSON text."""
@@ -92,6 +94,22 @@ class RunManifest:
         """Rebuild a manifest from its dict form."""
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
         return cls(**known)
+
+
+#: The container types :meth:`RunManifest.to_dict` copies (the rest are
+#: JSON scalars, shared as ``copy.deepcopy`` would share them).
+_CONTAINERS = (dict, list, tuple)
+
+
+def _copy_containers(value: dict | list | tuple) -> dict | list | tuple:
+    """*value* with every dict, list and tuple in it copied."""
+    if isinstance(value, dict):
+        return {
+            k: _copy_containers(v) if isinstance(v, _CONTAINERS) else v
+            for k, v in value.items()
+        }
+    items = [_copy_containers(v) if isinstance(v, _CONTAINERS) else v for v in value]
+    return items if isinstance(value, list) else tuple(items)
 
 
 def load_manifest(path: str | pathlib.Path) -> RunManifest:

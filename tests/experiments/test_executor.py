@@ -11,6 +11,8 @@ with totals matching a serial instrumented run.
 """
 
 import multiprocessing
+import os
+import threading
 import time
 
 import pytest
@@ -342,6 +344,25 @@ class TestManifestRecords:
         assert {r["manifest"]["git_sha"] for r in executor.cell_records} == {"f00d"}
         assert calls == [(["git", "rev-parse", "HEAD"], tmp_path)]
 
+    def test_repo_root_walked_once(self, monkeypatch):
+        """The records' git sha does not re-walk the directory tree per
+        cell: the walk is memoised per module path."""
+        from repro.telemetry import gitinfo
+
+        walks = []
+        repo_root = gitinfo.repo_root
+
+        def counting_repo_root(start=None):
+            walks.append(start)
+            return repo_root(start)
+
+        monkeypatch.setattr(gitinfo, "repo_root", counting_repo_root)
+        executor = GridExecutor(make_ctx(jobs=2))
+        executor.execute(all_cells())
+        assert len(executor.cell_records) == 12
+        assert len(walks) <= 1
+        assert len({r["manifest"]["git_sha"] for r in executor.cell_records}) == 1
+
     def test_grid_manifest_assembles(self):
         from repro.telemetry import GRID_MANIFEST_SCHEMA, build_grid_manifest
 
@@ -356,3 +377,97 @@ class TestManifestRecords:
         assert manifest["jobs"] == 2
         assert len(manifest["cells"]) == 3
         assert manifest["counters"][keys.GRID_CELLS_REQUESTED] == 3
+
+
+#: Names of the threads a pool worker started (filled in the worker by
+#: :func:`_count_thread_starts`; the parent's copy stays empty).
+_THREAD_STARTS = []
+
+
+def _count_thread_starts(_arg):
+    """Pool worker setup: record every thread the worker starts."""
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        _THREAD_STARTS.append(thread.name)
+        start(thread)
+
+    threading.Thread.start = counting_start
+
+
+def _thread_starts(_arg, _heartbeat):
+    """Pool task: the worker's thread starts so far."""
+    return list(_THREAD_STARTS)
+
+
+def _fake_job(payload):
+    """Stands in for a grid cell: sleeps, then (if asked) forks while the
+    worker's beat is armed and reports the child's heartbeat slot."""
+    time.sleep(payload["sleep"])
+    child_stamp = _forked_attempt(payload["sleep"]) if payload.get("fork") else None
+    return {"result": child_stamp, "telemetry": None, "pid": os.getpid()}
+
+
+def _forked_attempt(sleep):
+    """Run one attempt in a forked child; its heartbeat slot's value."""
+    from repro.experiments import executor
+
+    slot = multiprocessing.RawValue("d", 0.0)
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child
+        try:
+            executor._run_attempt(({"sleep": sleep}, sleep / 4), slot)
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+    return slot.value
+
+
+class TestWorkerBeat:
+    """A pool worker keeps one heartbeat thread, armed per attempt."""
+
+    INTERVAL = 0.02
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        from repro.experiments import executor
+        from repro.utils.pool import Pool
+
+        monkeypatch.setattr(executor, "_execute_job", _fake_job)
+        pool = Pool(jobs=1, setup=(_count_thread_starts, None))
+        try:
+            yield pool.checkout()
+        finally:
+            pool.close()
+
+    def attempt(self, worker, **payload):
+        from repro.experiments.executor import _run_attempt
+
+        worker.heartbeat.value = 0.0
+        worker.conn.send((_run_attempt, ({"sleep": 0.0, **payload}, self.INTERVAL)))
+        reply = worker.conn.recv()
+        assert reply["ok"], reply
+        return reply
+
+    def test_one_thread_for_ten_attempts(self, worker):
+        for _ in range(10):
+            self.attempt(worker, sleep=2 * self.INTERVAL)
+            assert worker.heartbeat.value > 0.0  # armed for every attempt
+        worker.conn.send((_thread_starts, None))
+        assert worker.conn.recv() == ["grid-beat"]
+
+    def test_silent_between_attempts(self, worker):
+        for _ in range(2):
+            self.attempt(worker, sleep=2 * self.INTERVAL)
+            stamp = worker.heartbeat.value
+            assert stamp > 0.0
+            time.sleep(3 * self.INTERVAL + 0.05)
+            assert worker.heartbeat.value == stamp
+
+    def test_forked_child_beats_on_its_own(self, worker):
+        """A child forked mid-attempt inherits the worker's beat object
+        but not its thread; its own attempt must still beat."""
+        reply = self.attempt(worker, sleep=0.2, fork=True)
+        assert reply["result"] > 0.0
+        self.attempt(worker, sleep=2 * self.INTERVAL)
+        assert worker.heartbeat.value > 0.0

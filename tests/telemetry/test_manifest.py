@@ -1,5 +1,6 @@
 """Run-manifest assembly and lossless JSON round-trip."""
 
+import dataclasses
 import json
 
 import repro
@@ -119,3 +120,61 @@ class TestRoundTrip:
         loaded = load_manifest(path)
         assert loaded.blas_pinned is None
         assert loaded.config == data["config"]
+
+
+def _measured_manifest():
+    """A manifest whose ``results["measured"]`` has the shm recovery
+    record's shape: nested lists and dicts, a fault plan, counters."""
+    m = build_manifest(_tiny_result(), None, CONFIG)
+    m.results["measured"] = {
+        "workers": 2,
+        "workers_final": 1,
+        "counters": {"shm.respawns": 1.0},
+        "recovery": [
+            {
+                "action": "respawn",
+                "epoch": 3,
+                "workers": 2,
+                "epoch_timeout": 1.5,
+                "cause": {"type": "WorkerStall", "pids": [101, 102]},
+            },
+            {"action": "nan_scrub", "epoch": 4, "coordinates": 7},
+        ],
+        "fault_plan": [{"kind": "stall", "epoch": 3, "worker": 1, "seconds": None}],
+        "shape": (2, [3, 4]),
+    }
+    return m
+
+
+class TestToDict:
+    def test_equals_asdict(self):
+        m = _measured_manifest()
+        assert m.to_dict() == dataclasses.asdict(m)
+        expected = json.dumps(dataclasses.asdict(m), indent=2, sort_keys=True)
+        assert m.to_json() == expected
+
+    def test_shares_no_container(self):
+        """Mutating any container of one ``to_dict()`` leaves the next
+        ``to_dict()`` (and so the manifest) unchanged."""
+        m = _measured_manifest()
+        before = m.to_json()
+
+        def containers(value):
+            if isinstance(value, (dict, list)):
+                yield value
+                items = value.values() if isinstance(value, dict) else value
+            elif isinstance(value, tuple):
+                items = value
+            else:
+                return
+            for item in items:
+                yield from containers(item)
+
+        found = list(containers(m.to_dict()))
+        assert len(found) >= 15
+        for container in found:
+            if isinstance(container, dict):
+                container["mutated"] = True
+            else:
+                container.append("mutated")
+        assert m.to_json() == before
