@@ -2,12 +2,12 @@
 
 The server owns the model as one float64 vector split into ``S``
 contiguous shards, and serves every worker connection — plus the
-parent's control connection — from one ``selectors`` loop on one
-thread.  The loop applies a push and answers a pull in one
-uninterrupted step: no handler thread waits on the GIL another one
-took during a syscall, and no shard needs a lock of its own.  Three
-mechanisms make it the paper-shaped parameter server rather than a
-plain key-value store:
+parent's control connection — from one connection loop
+(:mod:`repro.utils.eventloop`) on one thread.  The loop applies a push
+and answers a pull in one uninterrupted step: no handler thread waits
+on the GIL another one took during a syscall, and no shard needs a
+lock of its own.  Three mechanisms make it the paper-shaped parameter
+server rather than a plain key-value store:
 
 * **Shard versions** — every shard carries a monotonic version,
   bumped on each push that touches it.  A PUSH routes its delta to
@@ -41,10 +41,11 @@ Waits are parked requests, not blocked threads: a pull held at the
 gate, an ``EPOCH_DONE`` at the barrier and the parent's waiting
 ``CTRL_STATUS`` wait on their connection until the state they wait on
 moves, and the earliest status deadline is the ``select`` timeout.
-Replies are whole blocking ``sendall`` calls, safe because every
-peer reads its reply before it sends its next frame.  One registry
-mutex, taken once per frame, guards the state against the checkpoint
-writer and in-process callers.
+Replies never block the loop: each is packed whole in the step that
+answers it and the loop queues what the kernel does not take, so a
+peer that stops reading stalls only itself.  One registry mutex,
+taken once per frame, guards the state against the checkpoint writer
+and in-process callers.
 
 Epoch alignment mirrors the shm backend's barriers: a worker that
 finishes its pass sends ``EPOCH_DONE`` and blocks on the reply; the
@@ -91,9 +92,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import selectors
 import signal
-import socket
 import struct
 import threading
 import time
@@ -103,6 +102,7 @@ import numpy as np
 
 from ..telemetry import keys
 from ..utils.errors import ConfigurationError
+from ..utils.eventloop import Conn, ConnectionLoop
 from . import protocol as wire
 from .checkpoint import CheckpointPolicy, CheckpointState, write_checkpoint
 
@@ -114,6 +114,7 @@ _log = logging.getLogger(__name__)
 #: writer wakes at least this often, re-checking for shutdown.
 _WAIT_SLICE = 0.2
 
+_OUT_CAP = 1 << 20  # unsent reply bytes past which a peer is not read
 
 #: Staleness-histogram counter key by observed lag (looked up per pull,
 #: not formatted): lags 0..64, then the overflow bucket every larger
@@ -158,13 +159,13 @@ class _WorkerRecord:
         self.state = "running"
 
 
-class _Peer:
+class _Peer(Conn):
     """One accepted connection: reader, worker record, parked request."""
 
-    __slots__ = ("sock", "reader", "record", "clean", "waiting")
+    __slots__ = ("reader", "record", "clean", "waiting")
 
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
+    def __init__(self, sock) -> None:
+        super().__init__(sock)
         self.reader = wire.FrameReader(sock)
         self.record: _WorkerRecord | None = None
         #: The peer may leave without being reaped (stop ack, BYE).
@@ -173,8 +174,10 @@ class _Peer:
         self.waiting: tuple | None = None
 
 
-class ShardServer:
+class ShardServer(ConnectionLoop):
     """Own the shards, accept workers, answer pulls/pushes, keep clocks."""
+
+    conn_type = _Peer
 
     def __init__(
         self,
@@ -207,7 +210,6 @@ class ShardServer:
         self._expected = expected_workers
         self._released_epoch = 0
         self._stop_flag = False
-        self._closing = False
         #: Connections closed so far: a change answers a parked waiting
         #: status early, so the parent's watchdog looks at its node
         #: processes at once.
@@ -267,13 +269,9 @@ class ShardServer:
             raise ConfigurationError(
                 "server faults need pushes_per_epoch to pick a firing point"
             )
-        self._standalone = standalone
         self._pushes_per_epoch = pushes_per_epoch
         self._pushes_this_epoch = 0
         self._stall_until = 0.0
-        #: Set by a ``CTRL_SHUTDOWN`` frame (or a loop that exited); a
-        #: standalone server's main thread waits on it, then closes.
-        self.shutdown_event = threading.Event()
 
         self._ckpt_policy = checkpoint
         self._ckpt_seq = restore.seq + 1 if restore is not None else 1
@@ -284,42 +282,19 @@ class ShardServer:
         #: background writer share the directory's orphan sweep.
         self._ckpt_write = threading.Lock()
 
-        self._listener = socket.create_server((host, 0))
-        self._listener.setblocking(False)
-        #: A byte on this pair wakes the loop for state another thread
-        #: moved (a release, a pool reset, close()).
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_w.setblocking(False)
-        self._sel = selectors.DefaultSelector()
-        self._sel.register(self._listener, selectors.EVENT_READ, self._accept)
-        self._sel.register(
-            self._wake_r, selectors.EVENT_READ, lambda: self._wake_r.recv(4096)
-        )
         #: Parked peers, their earliest deadline, and whether state they
         #: may wait on moved (any thread sets that flag, then wakes).
         self._parked: list[_Peer] = []
         self._deadline: float | None = None
         self._recheck = False
-        self._thread = threading.Thread(
-            target=self._loop, name="ps-loop", daemon=True
-        )
-        self._thread.start()
+        super().__init__(host, 0, name="ps-loop", out_cap=_OUT_CAP)
+        self.start()
         if checkpoint is not None:
             os.makedirs(checkpoint.dir, exist_ok=True)
             self._ckpt_thread = threading.Thread(
                 target=self._checkpoint_loop, name="ps-ckpt", daemon=True
             )
             self._ckpt_thread.start()
-
-    # -- addressing --------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self._listener.getsockname()[0]
-
-    @property
-    def port(self) -> int:
-        return self._listener.getsockname()[1]
 
     @property
     def n_shards(self) -> int:
@@ -329,56 +304,30 @@ class ShardServer:
     def n_params(self) -> int:
         return int(self._params.shape[0])
 
-    # -- the event loop ----------------------------------------------------
+    # -- the loop's hooks --------------------------------------------------
 
-    def _loop(self) -> None:
-        try:
-            while not self._closing:
-                deadline = self._deadline
-                timeout = deadline and max(0.0, deadline - time.monotonic())
-                for key, _ in self._sel.select(timeout):
-                    if self._closing:
-                        return
-                    if key.data.__class__ is _Peer:
-                        self._readable(key.data)
-                    else:
-                        key.data()
-                if self._recheck or (deadline and time.monotonic() >= deadline):
-                    self._unpark()
-        except Exception:
-            if not self._closing:  # close() abandoned a wedged loop
-                raise
-        finally:
-            # A stopped loop serves nothing: a standalone server exits.
-            self.shutdown_event.set()
+    def _timeout(self) -> float | None:
+        deadline = self._deadline
+        return deadline and max(0.0, deadline - time.monotonic())
 
-    def _accept(self) -> None:
-        try:
-            conn, _ = self._listener.accept()
-        except OSError:  # the dialler gave up before we got to it
-            return
-        conn.setblocking(True)
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sel.register(conn, selectors.EVENT_READ, _Peer(conn))
-
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # a full pair already wakes it; a closed one has no loop
-            pass
-
-    def _readable(self, peer: _Peer) -> None:
-        try:
-            if peer.reader.feed():
-                self._serve(peer)
-            else:
-                self._drop(peer, peer.clean)
-        except Exception as err:
-            self._fail(peer, err)
+    def _readable(self, peers: list) -> None:
+        for peer in peers:
+            try:
+                if peer.reader.feed():
+                    self._serve(peer)
+                else:
+                    self._hangup(peer)
+            except BlockingIOError:
+                pass
+            except Exception as err:
+                self._fail(peer, err)
+        deadline = self._deadline
+        if self._recheck or (deadline and time.monotonic() >= deadline):
+            self._unpark()
 
     def _serve(self, peer: _Peer) -> None:
         """Handle every whole buffered frame until the peer parks."""
-        while peer.waiting is None:
+        while peer.waiting is None and not peer.closing:
             frame = peer.reader.pending()
             if frame is None:
                 return
@@ -394,9 +343,9 @@ class ShardServer:
             if frame.msg_type not in _ROUND_TYPES or self.max_staleness is not None:
                 # Only a bounded gate waits on the clocks a round moves.
                 self._recheck = True
-            if done:
-                self._drop(peer, True)
-                return
+            if done:  # the loop ends: the peer is closing
+                peer.clean = True
+                self._hangup(peer)
 
     def _park(self, peer: _Peer, ready, answer, deadline: float | None = None) -> None:
         """Answer now if *ready*, else hold the request until it is.
@@ -443,7 +392,7 @@ class ShardServer:
         self._stall_until = 0.0
 
     def _fail(self, peer: _Peer, err: Exception) -> None:
-        """Drop a peer whose frame or socket failed; the loop serves on."""
+        """Hang up on a peer whose frame or socket failed; the loop serves on."""
         if isinstance(err, wire.WireProtocolError):
             # Malformed or corrupted frame: rejected, counted, never
             # applied — the peer heals by reconnect-and-replay.
@@ -451,13 +400,14 @@ class ShardServer:
                 self.counters[keys.PS_FRAMES_REJECTED] += 1
         elif not isinstance(err, (OSError, struct.error)):
             _log.error("dropping a connection whose frame failed", exc_info=err)
-        self._drop(peer, peer.clean)
+        self._hangup(peer)
 
-    def _drop(self, peer: _Peer, clean: bool) -> None:
+    def _closed(self, peer: _Peer) -> None:
+        """Reap a closed peer: its request is unparked, its clock leaves
+        the gate and, unless it left cleanly, it counts as a dead worker."""
         if peer.waiting is not None:
             peer.waiting = None
             self._parked.remove(peer)
-        self._sel.unregister(peer.sock)
         record = peer.record
         with self._mu:
             if record is not None and record.state != "dead":
@@ -469,11 +419,10 @@ class ShardServer:
                     # reconnect HELLO is answered with this clock.
                     self._resume_clocks[record.worker_id] = record.clock
                     del self._workers[record.worker_id]
-                if not clean and not self._closing:
+                if not peer.clean and not self._closing:
                     self.counters[keys.PS_DEAD_WORKERS_REAPED] += 1
             self._departures += 1
-        self._recheck = True
-        peer.sock.close()
+        self._unpark()  # a parked status may wait on the departure
 
     # -- training frames (caller holds ``_mu``) ------------------------------
 
@@ -487,7 +436,7 @@ class ShardServer:
         if frame.msg_type == wire.MSG_HELLO:
             flags = frame.payload[0] if frame.payload else 0
             peer.record = self._register(
-                peer.sock,
+                peer,
                 frame.ident,
                 frame.clock,
                 midrun=bool(flags & wire.HELLO_MIDRUN),
@@ -518,7 +467,7 @@ class ShardServer:
 
     def _register(
         self,
-        conn: socket.socket,
+        peer: _Peer,
         worker_id: int,
         connect_retries: int = 0,
         *,
@@ -550,16 +499,21 @@ class ShardServer:
         self.counters[keys.PS_CONNECT_RETRIES] += connect_retries
         self._ever_seen.add(worker_id)
         self._workers[worker_id] = record
-        sent = wire.send_frame(
-            conn,
+        self.counters[keys.PS_BYTES_SENT] += self._reply(
+            peer,
             wire.MSG_HELLO_ACK,
             ident=self.n_shards,
             payload=wire.pack_hello_ack(
                 self.n_params, self.n_shards, self.max_staleness, resume_clock
             ),
         )
-        self.counters[keys.PS_BYTES_SENT] += sent
         return record
+
+    def _reply(self, peer: _Peer, msg_type: int, **fields) -> int:
+        """Queue one frame for *peer*; returns its bytes on the wire."""
+        frame = wire.pack_frame(msg_type, **fields)
+        self._send(peer, frame)
+        return len(frame)
 
     def _gate_lag(self, record: _WorkerRecord) -> int:
         """Work items *record* is ahead of the slowest running worker."""
@@ -578,8 +532,8 @@ class ShardServer:
 
         *seen* is the worker's last-seen version vector; any shard
         whose version still matches ships as a cached header only.
-        The loop applies no push while it builds the reply, so every
-        entry belongs to the same cut.
+        The loop applies no push while it packs the reply, so every
+        entry belongs to the same cut, however late its bytes leave.
         """
         entries: list[tuple[int, bytes | None]] = []
         hits = 0
@@ -592,8 +546,8 @@ class ShardServer:
                 saved += (hi - lo) * 8
             else:
                 entries.append((version, self._params[lo:hi].tobytes()))
-        sent = wire.send_frame(
-            peer.sock,
+        sent = self._reply(
+            peer,
             wire.MSG_SHARDS,
             clock=clock,
             payload=wire.pack_shard_entries(entries),
@@ -744,48 +698,40 @@ class ShardServer:
             peer.clean = True
         else:
             peer.record.state = "running"
-        sent = wire.send_frame(
-            peer.sock, wire.MSG_EPOCH_ACK, ident=1 if stop else 0, clock=epoch + 1
+        self.counters[keys.PS_BYTES_SENT] += self._reply(
+            peer, wire.MSG_EPOCH_ACK, ident=1 if stop else 0, clock=epoch + 1
         )
-        self.counters[keys.PS_BYTES_SENT] += sent
 
     # -- control plane (framed, for the standalone server process) ----------
 
     def _control(self, peer: _Peer, frame: wire.Frame) -> bool:
-        """Serve one supervision frame; returns True on CTRL_SHUTDOWN."""
+        """Serve one supervision frame; returns True on CTRL_SHUTDOWN.
+        Every frame but a status is acked with its own type."""
         t = frame.msg_type
-        conn = peer.sock
+        payload = b""
         if t == wire.MSG_CTRL_STATUS:
             self._status(peer, frame.clock, frame.ident / 1000.0)
-        elif t == wire.MSG_CTRL_RELEASE:
+            return False
+        if t == wire.MSG_CTRL_RELEASE:
             self.release_epoch(frame.clock, stop=bool(frame.ident))
-            wire.send_frame(conn, wire.MSG_CTRL_RELEASE)
         elif t == wire.MSG_CTRL_SNAPSHOT:
-            wire.send_frame(
-                conn, wire.MSG_CTRL_SNAPSHOT, payload=self.snapshot().tobytes()
-            )
+            payload = self.snapshot().tobytes()
         elif t == wire.MSG_CTRL_WRITE:
             if len(frame.payload) % 8:
                 raise wire.WireProtocolError(
                     "CTRL_WRITE payload is not float64-aligned"
                 )
             self.write_params(np.frombuffer(frame.payload, dtype=np.float64))
-            wire.send_frame(conn, wire.MSG_CTRL_WRITE)
         elif t == wire.MSG_CTRL_RESET:
             self.reset_pool(frame.ident)
-            wire.send_frame(conn, wire.MSG_CTRL_RESET)
         elif t == wire.MSG_CTRL_CHECKPOINT:
             path = self.checkpoint_now(boundary=bool(frame.ident))
-            wire.send_frame(
-                conn, wire.MSG_CTRL_CHECKPOINT, payload=(path or "").encode("utf-8")
-            )
-        elif t == wire.MSG_CTRL_SHUTDOWN:
-            wire.send_frame(conn, wire.MSG_CTRL_SHUTDOWN)
-            # The standalone main thread does the close(): the loop
-            # cannot join itself out of existence.
-            self.shutdown_event.set()
-            return True
-        return False
+            payload = (path or "").encode("utf-8")
+        self._reply(peer, t, payload=payload)
+        # wait() returns once the shutdown ack is out; the standalone
+        # main thread then does the close(): the loop cannot join itself.
+        peer.stopped = t == wire.MSG_CTRL_SHUTDOWN
+        return peer.stopped
 
     def _status(self, peer: _Peer, epoch: int, wait: float) -> None:
         """Answer a ``CTRL_STATUS``; the waiting form (*epoch* > 0)
@@ -794,8 +740,8 @@ class ShardServer:
 
         def answer() -> None:
             reached = self._epoch_reached(epoch) if epoch else None
-            wire.send_frame(
-                peer.sock, wire.MSG_CTRL_STATUS, payload=self._status_payload(reached)
+            self._reply(
+                peer, wire.MSG_CTRL_STATUS, payload=self._status_payload(reached)
             )
 
         with self._mu:
@@ -950,37 +896,11 @@ class ShardServer:
             for shard in range(len(self._bounds)):
                 self._versions[shard] += 1
 
-    def close(self) -> None:
-        """Stop the loop, close every socket, stop the checkpoint writer.
-
-        Idempotent; after it returns no server-owned socket is open.  A
-        loop that does not stop within its 2 s grace (wedged in a
-        reply to a peer that stopped reading) is abandoned loudly.
-        """
-        if self._closing:
-            return
-        self._closing = True
-        self._wake()
-        self._thread.join(timeout=2.0)
-        if self._thread.is_alive():
-            _log.warning(
-                "parameter server loop did not stop within 2.0s of close(); "
-                "abandoning it"
-            )
-        for key in list(self._sel.get_map().values()):
-            try:
-                key.fileobj.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # the listener is not connected
-            key.fileobj.close()
-        self._sel.close()
-        self._wake_w.close()
+    def stop(self) -> None:
+        """Stop the loop, close every socket and stop the checkpoint writer."""
+        super().stop()
         if self._ckpt_thread is not None:
             self._ckpt_event.set()
             self._ckpt_thread.join(timeout=2.0)
 
-    def __enter__(self) -> "ShardServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    close = stop

@@ -77,8 +77,8 @@ def server_main(
     model is exactly the state after zero applied items.
 
     The listening ``(host, port)`` is reported through *conn* (the
-    parent's spawn handshake), then the process serves until a
-    ``CTRL_SHUTDOWN`` frame sets the shutdown event.
+    parent's spawn handshake), then the process serves until its
+    ``CTRL_SHUTDOWN`` ack is out; a crashed loop exits non-zero.
     """
     state = None
     if restore and checkpoint is not None:
@@ -94,12 +94,10 @@ def server_main(
         pushes_per_epoch=pushes_per_epoch,
         standalone=True,
     )
-    try:
+    with server:
         conn.send((server.host, server.port))
         conn.close()
-        server.shutdown_event.wait()
-    finally:
-        server.close()
+        server.wait()
 
 
 class RemoteServerHandle:

@@ -32,25 +32,22 @@ same bytes cannot succeed.  A request line longer than the server's
 (``retriable: false``) and the connection is closed: the overflow
 bytes still in the socket cannot be re-framed, so parsing them as
 further requests — the pre-fix behaviour — would corrupt the stream.
-One ``selectors`` loop on one thread serves every connection.  Each
-pass reads every ready connection, hands the score requests it found to
-the engine together, so they share micro-batches, and queues each
-connection's replies in request order.  A client that does not read its
-replies stalls only itself: the loop stops reading it while its unsent
-replies exceed the line cap.
+One connection loop (:mod:`repro.utils.eventloop`) serves every
+connection: each pass hands the score requests it read to the engine
+together, so they share micro-batches, and queues each connection's
+replies in request order.  A client that does not read its replies
+stalls only itself: past the line cap of unsent replies it is not read.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import selectors
 import socket
-import threading
 from dataclasses import dataclass
 from typing import Any
 
 from ..utils.errors import DataFormatError, ReproError, SnapshotUnavailableError
+from ..utils.eventloop import Conn, ConnectionLoop
 from .engine import ScoringEngine
 
 __all__ = ["ServerConfig", "ScoringServer", "request_once"]
@@ -103,23 +100,17 @@ def _reply(slot: Any) -> dict[str, Any]:
     return slot.response.to_dict()
 
 
-class _Conn:
-    """One client connection: unframed bytes in, unsent replies out."""
+class _Conn(Conn):
+    """One client connection: unframed request bytes in."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "events", "closing", "stopped")
+    __slots__ = ("inbuf",)
 
     def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
+        super().__init__(sock)
         self.inbuf = bytearray()
-        self.outbuf = bytearray()
-        self.events = selectors.EVENT_READ
-        #: Close once the replies are sent: EOF, an overlong line, shutdown.
-        self.closing = False
-        #: This connection asked for shutdown; its later lines are ignored.
-        self.stopped = False
 
 
-class ScoringServer:
+class ScoringServer(ConnectionLoop):
     """Bind, serve, and shut down the scoring socket over an engine.
 
     The server owns its event-loop thread only; the engine (and its
@@ -127,26 +118,14 @@ class ScoringServer:
     ``with engine, ScoringServer(engine, config) as server: ...``.
     """
 
+    conn_type = _Conn
+
     def __init__(self, engine: ScoringEngine, config: ServerConfig | None = None) -> None:
         self.engine = engine
-        self.config = config or ServerConfig()
-        self._listener = socket.create_server((self.config.host, self.config.port))
-        self._listener.setblocking(False)
-        self.host, self.port = self._listener.getsockname()[:2]
-        #: A byte on this pair wakes the loop for stop(); it is never read.
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_w.setblocking(False)
-        self._sel = selectors.DefaultSelector()
-        self._sel.register(self._listener, selectors.EVENT_READ, self._accept)
-        self._sel.register(self._wake_r, selectors.EVENT_READ, lambda: None)
-        self._thread: threading.Thread | None = None
-        self._closing = False
-        self._shutdown = threading.Event()
-        self._error: Exception | None = None
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
+        self.config = cfg = config or ServerConfig()
+        super().__init__(
+            cfg.host, cfg.port, name="serve-loop", out_cap=cfg.max_line_bytes
+        )
 
     # -- request dispatch --------------------------------------------------
 
@@ -185,42 +164,7 @@ class ScoringServer:
             self.engine.note_client_error()
             return _error_payload(err), False
 
-    # -- the event loop ----------------------------------------------------
-
-    def _loop(self) -> None:
-        try:
-            while not self._closing:
-                lines: list[tuple[_Conn, Any]] = []
-                read: list[_Conn] = []
-                for key, mask in self._sel.select():
-                    conn = key.data
-                    if conn.__class__ is not _Conn:
-                        conn()
-                        continue
-                    if mask & selectors.EVENT_WRITE:
-                        self._flush(conn)  # may close it: then skip the read
-                    if mask & selectors.EVENT_READ and not conn.closing:
-                        self._recv(conn, lines)
-                        read.append(conn)
-                if lines:
-                    self._answer(lines)
-                for conn in read:
-                    self._flush(conn)
-        except Exception as exc:
-            self._error = exc  # for wait(): a crash is not a shutdown
-            raise
-        finally:
-            # A stopped loop serves nothing: release wait()ers.
-            self._shutdown.set()
-
-    def _accept(self) -> None:
-        try:
-            sock, _ = self._listener.accept()
-        except OSError:  # the dialler gave up before we got to it
-            return
-        sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sel.register(sock, selectors.EVENT_READ, _Conn(sock))
+    # -- the loop's hooks --------------------------------------------------
 
     def _recv(self, conn: _Conn, lines: list) -> None:
         """Read what arrived and append each complete line to *lines*."""
@@ -259,8 +203,11 @@ class ScoringServer:
             conn.closing = True
             buf.clear()
 
-    def _answer(self, lines: list[tuple[_Conn, Any]]) -> None:
+    def _readable(self, conns: list) -> None:
         """Answer one pass's lines, scoring its score requests together."""
+        lines: list[tuple[_Conn, Any]] = []
+        for conn in conns:
+            self._recv(conn, lines)
         queued: list = []
         slots = []
         for conn, raw in lines:
@@ -274,76 +221,9 @@ class ScoringServer:
                 if stop:
                     conn.stopped = conn.closing = True
         self.engine.answer(queued)
+        # The loop sends each connection's replies after the pass.
         for conn, slot in slots:
-            conn.outbuf += json.dumps(_reply(slot)).encode("utf-8") + b"\n"
-
-    def _flush(self, conn: _Conn) -> None:
-        """Send what the socket takes now, then close the connection or
-        wait on what it needs next."""
-        if conn.outbuf:
-            try:
-                del conn.outbuf[: conn.sock.send(conn.outbuf)]
-            except BlockingIOError:
-                pass
-            except OSError:  # the client is gone; nobody reads the rest
-                conn.outbuf.clear()
-                conn.closing = True
-        if conn.closing and not conn.outbuf:
-            self._close(conn)
-            return
-        events = selectors.EVENT_WRITE if conn.outbuf else 0
-        # A client that does not read its replies is not read either.
-        if not conn.closing and len(conn.outbuf) <= self.config.max_line_bytes:
-            events |= selectors.EVENT_READ
-        if events != conn.events:
-            conn.events = events
-            self._sel.modify(conn.sock, events, conn)
-
-    def _close(self, conn: _Conn) -> None:
-        self._sel.unregister(conn.sock)
-        with contextlib.suppress(OSError):
-            # FIN first: should unread request bytes make close() reset
-            # the connection, the client has already seen the replies end.
-            conn.sock.shutdown(socket.SHUT_WR)
-        conn.sock.close()
-        if conn.stopped:  # the shutdown reply is out
-            self._shutdown.set()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ScoringServer":
-        if self._thread is None and not self._closing:
-            self._thread = threading.Thread(
-                target=self._loop, name="serve-loop", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until shutdown (the serve-CLI's loop); re-raise a loop crash."""
-        if self._shutdown.wait(timeout) and self._error is not None:
-            raise self._error
-        return self._shutdown.is_set()
-
-    def stop(self) -> None:
-        """Stop the loop and close every socket; releases wait()ers."""
-        self._shutdown.set()
-        if self._closing:
-            return
-        self._closing = True
-        if self._thread is not None:
-            self._wake_w.send(b"\0")
-            self._thread.join(timeout=5.0)
-        for key in list(self._sel.get_map().values()):
-            key.fileobj.close()
-        self._sel.close()
-        self._wake_w.close()
-
-    def __enter__(self) -> "ScoringServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+            conn.out += json.dumps(_reply(slot)).encode("utf-8") + b"\n"
 
 
 def request_once(

@@ -5,6 +5,7 @@ import logging
 import multiprocessing as mp
 import os
 import socket
+import struct
 import threading
 import time
 
@@ -16,10 +17,12 @@ from repro.distributed import (
     PsSchedule,
     RemoteServerHandle,
     ShardServer,
+    shard_bounds,
     train_ps,
 )
 from repro.distributed import protocol as wire
 from repro.distributed.checkpoint import CheckpointPolicy, load_latest
+from repro.distributed.supervisor import server_main
 from repro.faults import FaultPlan, RecoveryPolicy
 from repro.models import make_model
 from repro.sgd import SGDConfig
@@ -400,6 +403,208 @@ class TestWedgedLoop:
                 pass
         assert not server._thread.is_alive()
         assert not caplog.records
+
+
+def _raw_peer(server: ShardServer, worker_id: int, rcvbuf: int | None = None):
+    """A registered raw-socket worker; *rcvbuf* shrinks its receive buffer."""
+    sock = socket.socket()
+    if rcvbuf is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(1.0)
+    sock.connect((server.host, server.port))
+    wire.send_frame(sock, wire.MSG_HELLO, ident=worker_id)
+    assert wire.recv_frame(sock).msg_type == wire.MSG_HELLO_ACK
+    return sock
+
+
+def _cold_pull(sock: socket.socket, server: ShardServer) -> None:
+    never = wire.pack_versions([wire.VERSION_NEVER] * server.n_shards)
+    wire.send_frame(sock, wire.MSG_PULL_ALL, payload=never)
+
+
+def _until(predicate, what: str) -> None:
+    deadline = time.monotonic() + 10.0
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
+def _within(seconds: float, fn):
+    """``fn()``, which must return within *seconds*."""
+    out = []
+    caller = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    caller.start()
+    caller.join(seconds)
+    assert out, f"{fn.__name__} did not return within {seconds} s"
+    return out[0]
+
+
+def _answered_within(sock: socket.socket, msg_type: int, seconds: float):
+    """The next frame on *sock*, which must be *msg_type* and arrive in time."""
+    t0 = time.perf_counter()
+    frame = wire.recv_frame(sock)
+    assert frame is not None and frame.msg_type == msg_type
+    assert time.perf_counter() - t0 < seconds
+    return frame
+
+
+def _round(sock: socket.socket, server: ShardServer, clock: int, seen: list) -> list:
+    """One PUSH_PULL round (+1 at coordinate ``clock``), answered within 1 s;
+    returns the versions it brought back."""
+    push = wire.pack_push(np.array([clock], dtype=np.int64), np.ones(1))
+    payload = wire.pack_push_pull(push, seen)
+    wire.send_frame(sock, wire.MSG_PUSH_PULL, ident=1, clock=clock, payload=payload)
+    reply = _answered_within(sock, wire.MSG_SHARDS, 1.0)
+    sizes = [(hi - lo) * 8 for lo, hi in shard_bounds(server.n_params, server.n_shards)]
+    return [version for version, _ in wire.unpack_shards(reply.payload, sizes)]
+
+
+class TestStalledReader:
+    """A peer that stops reading stalls only itself: its replies queue
+    on the loop instead of wedging it.  The model is 8 MiB, more than
+    the kernel buffers between the server and a 4 KiB receive buffer."""
+
+    N, SHARDS = 1 << 20, 8
+
+    def test_a_stalled_reader_stalls_only_itself(self):
+        """One peer sends a cold PULL_ALL and does not read.  Another
+        worker's rounds and a status probe on a third connection are
+        each answered within 1 s; once the stalled peer reads, it gets
+        one CRC-clean SHARDS reply holding the model at its cut."""
+        init = np.arange(self.N, dtype=np.float64)
+        with ShardServer(init, self.SHARDS) as server:
+            stalled = _raw_peer(server, 0, rcvbuf=4096)
+            with stalled:
+                received = server.counters[keys.PS_BYTES_RECEIVED]
+                _cold_pull(stalled, server)
+                _until(
+                    lambda: server.counters[keys.PS_BYTES_RECEIVED] > received,
+                    "the stalled peer's pull never arrived",
+                )
+                # The round holds the registry mutex until its reply is
+                # packed, so this copy is the model the reply carries.
+                cut = _within(1.0, server.snapshot)
+                assert np.array_equal(cut, init)
+                with _raw_peer(server, 1) as worker:
+                    seen = [wire.VERSION_NEVER] * self.SHARDS
+                    for clock in range(1, 6):
+                        seen = _round(worker, server, clock, seen)
+                    with socket.create_connection(
+                        (server.host, server.port), timeout=1.0
+                    ) as probe:
+                        wire.send_frame(probe, wire.MSG_CTRL_STATUS)
+                        _answered_within(probe, wire.MSG_CTRL_STATUS, 1.0)
+                    wire.send_frame(worker, wire.MSG_BYE)
+                stalled.settimeout(10.0)
+                reply = wire.recv_frame(stalled)  # checks the CRC
+                assert reply.msg_type == wire.MSG_SHARDS
+                bounds = shard_bounds(self.N, self.SHARDS)
+                entries = wire.unpack_shards(
+                    reply.payload, [(hi - lo) * 8 for lo, hi in bounds]
+                )
+                got = np.concatenate(
+                    [np.frombuffer(payload, dtype=np.float64) for _, payload in entries]
+                )
+                assert np.array_equal(got, cut)
+                assert not np.array_equal(got, server.snapshot())
+                stalled.settimeout(0.2)
+                with pytest.raises(socket.timeout):
+                    stalled.recv(1)  # one reply, nothing behind it
+
+    def test_reset_with_a_queued_reply_drops_only_that_peer(self):
+        """A peer that resets (SO_LINGER 0) with most of an 8 MiB reply
+        still queued is dropped and reaped as a dead worker; the loop
+        keeps serving the others."""
+        with ShardServer(np.zeros(self.N), self.SHARDS) as server:
+            with _raw_peer(server, 0) as worker:
+                seen = [wire.VERSION_NEVER] * self.SHARDS
+                for k in range(1, 4):
+                    rounds = server.counters[keys.PS_PULL_ROUNDS]
+                    stalled = _raw_peer(server, k, rcvbuf=4096)
+                    _cold_pull(stalled, server)
+                    _until(
+                        lambda: server.counters[keys.PS_PULL_ROUNDS] == rounds + 1,
+                        "the stalled peer's pull was never served",
+                    )
+                    stalled.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                    stalled.close()
+                    _until(
+                        lambda: server.counters[keys.PS_DEAD_WORKERS_REAPED] == k,
+                        "the reset peer was not reaped",
+                    )
+                    seen = _round(worker, server, k, seen)
+                wire.send_frame(worker, wire.MSG_BYE)
+            assert not server.wait(0), "the loop stopped"
+
+
+class TestLoopLifecycle:
+    def test_a_crashed_loop_is_raised_by_wait(self, monkeypatch):
+        """A fault that escapes the loop is not a clean shutdown."""
+
+        def crash(peers):
+            raise RuntimeError("loop fault")
+
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        with ShardServer(np.zeros(8), 2) as server:
+            monkeypatch.setattr(server, "_readable", crash)
+            with socket.create_connection((server.host, server.port), timeout=10):
+                with pytest.raises(RuntimeError, match="loop fault"):
+                    server.wait(10)
+
+    def test_a_crashed_standalone_server_exits_non_zero(self, monkeypatch):
+        """The standalone server process surfaces the crash as its exit
+        code, as ``repro serve`` does, instead of exiting 0."""
+
+        def crash(self, peers):
+            raise RuntimeError("loop fault")
+
+        monkeypatch.setattr(ShardServer, "_readable", crash)
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        ctx = _ctx()
+        recv_conn, send_conn = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
+            target=server_main,
+            args=(send_conn, np.zeros(8), 2, None, 1, None, (), None, False),
+            daemon=True,
+        )
+        proc.start()
+        send_conn.close()
+        try:
+            assert recv_conn.poll(30.0)
+            address = recv_conn.recv()
+            socket.create_connection(address, timeout=10).close()
+            proc.join(10.0)
+            assert proc.exitcode not in (None, 0)
+        finally:
+            recv_conn.close()
+            proc.kill()
+            proc.join(5.0)
+
+    def test_shutdown_ack_is_out_before_wait_returns(self):
+        """A CTRL_SHUTDOWN behind an unread 8 MiB snapshot reply: wait()
+        holds while the ack is queued, and the reader gets the snapshot,
+        then the ack, then EOF — before wait() returns."""
+        n = 1 << 20
+        init = np.arange(n, dtype=np.float64)
+        with ShardServer(init, 8) as server:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10.0)
+            with sock:
+                sock.connect((server.host, server.port))
+                sock.sendall(
+                    wire.pack_frame(wire.MSG_CTRL_SNAPSHOT)
+                    + wire.pack_frame(wire.MSG_CTRL_SHUTDOWN)
+                )
+                assert not server.wait(0.5)
+                snapshot = wire.recv_frame(sock)
+                assert snapshot.msg_type == wire.MSG_CTRL_SNAPSHOT
+                assert np.array_equal(np.frombuffer(snapshot.payload), init)
+                assert wire.recv_frame(sock).msg_type == wire.MSG_CTRL_SHUTDOWN
+                assert wire.recv_frame(sock) is None
+            assert server.wait(5.0)
 
 
 class TestRecoveryTrajectory:

@@ -258,22 +258,19 @@ class TestLossyWireEndToEnd:
         item = int(derive_rng(99, "ps-wire/1/0").integers(n))
         assert item > 0  # a PULL_ALL-opened item has no such reply
         half = wire.pack_frame(wire.MSG_SHARDS, payload=b"\x00" * 100)[:30]
-        real_send = wire.send_frame
+        real_pack = wire.pack_frame
         # The patch runs in the forked server process: it records the
         # poisoned clock in a file, which the parent can read back.
         log = tmp_path / "poisoned"
 
-        def send_frame(sock, msg_type, *, ident=0, clock=0, payload=b""):
+        def pack_frame(msg_type, *, ident=0, clock=0, payload=b""):
+            frame = real_pack(msg_type, ident=ident, clock=clock, payload=payload)
             if msg_type == wire.MSG_SHARDS and clock == n + item and not log.exists():
                 log.write_text(str(clock))
-                frame = wire.pack_frame(
-                    msg_type, ident=ident, clock=clock, payload=payload
-                )
-                sock.sendall(frame + half)  # one segment: read together
-                return len(frame)
-            return real_send(sock, msg_type, ident=ident, clock=clock, payload=payload)
+                return frame + half  # one send: read together
+            return frame
 
-        monkeypatch.setattr(wire, "send_frame", send_frame)
+        monkeypatch.setattr(wire, "pack_frame", pack_frame)
         res = train_ps(
             model, ds.X, ds.y, init, _config(),
             PsSchedule(nodes=1, max_staleness=0, batch_size=1,

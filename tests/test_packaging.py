@@ -109,6 +109,24 @@ def test_one_process_pool():
     assert found == []
 
 
+def test_one_connection_loop():
+    """``repro.utils.eventloop`` is the one connection loop: no other
+    module imports ``selectors`` or makes a wake pair of its own."""
+    found = [
+        name
+        for name, tree in _source_trees()
+        if any(
+            imported.split(".")[0] == "selectors" or imported == "socket.socketpair"
+            for imported in _imported(tree)
+        )
+        or any(
+            isinstance(node, ast.Attribute) and node.attr == "socketpair"
+            for node in ast.walk(tree)
+        )
+    ]
+    assert found == ["src/repro/utils/eventloop.py"]
+
+
 def test_one_server_placement():
     """The shard server has one placement, its own supervised process:
     only the supervisor constructs a ``ShardServer``, and no switch
