@@ -154,35 +154,3 @@ class TestAblationStaleness:
         assert epochs_needed[1] <= epochs_needed[512]
         assert epochs_needed[56] <= epochs_needed[2048]
 
-
-class TestAblationLowPrecision:
-    """Extension (the paper's future work): Buckwild-style low-precision
-    models — how many bits can the shared model lose before statistical
-    efficiency suffers?"""
-
-    def test_precision_sweep(self, artifact_dir):
-        import numpy as np
-
-        from repro.asyncsim import AsyncSchedule
-        from repro.sgd.lowprec import make_quantizer, run_quantized_epoch
-
-        ds = load("w8a", "small")
-        model = make_model("lr", ds)
-        init = model.init_params(derive_rng(0, "lowprec"))
-        lines = []
-        final = {}
-        for kind in ("float32", "bfloat16", "fixed8", "fixed4"):
-            q = make_quantizer(kind)
-            w = init.copy()
-            rng = derive_rng(0, f"lowprec/{kind}")
-            for _ in range(25):
-                run_quantized_epoch(
-                    model, ds.X, ds.y, w, 1.0, AsyncSchedule(concurrency=56), rng, q
-                )
-            final[kind] = model.loss(ds.X, ds.y, w)
-            lines.append(f"{kind:>9} ({q.bits:>2} bits): loss after 25 epochs = {final[kind]:.4f}")
-        publish(artifact_dir, "ablation_lowprecision.txt", "\n".join(lines))
-        # float32/bfloat16 track full precision; 4-bit visibly degrades
-        assert final["float32"] <= final["fixed4"]
-        assert final["bfloat16"] <= final["fixed4"] + 0.02
-        assert np.isfinite(final["fixed4"])

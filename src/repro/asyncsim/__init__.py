@@ -1,21 +1,9 @@
-"""Asynchronous-execution simulation (Hogwild / Hogbatch / Cyclades)."""
+"""Asynchronous-execution simulation (Hogwild / Hogbatch)."""
 
-from .cyclades import (
-    CycladesBatch,
-    CycladesSchedule,
-    conflict_graph,
-    run_cyclades_epoch,
-    schedule_batch,
-)
 from .engine import AsyncSchedule, apply_updates, run_async_epoch
 
 __all__ = [
     "AsyncSchedule",
     "run_async_epoch",
     "apply_updates",
-    "CycladesBatch",
-    "CycladesSchedule",
-    "schedule_batch",
-    "conflict_graph",
-    "run_cyclades_epoch",
 ]

@@ -1,6 +1,5 @@
 """Datasets: Table I profiles, synthetic generators, LIBSVM IO, transforms."""
 
-from .analysis import DatasetAnalysis, analyze, gini
 from .libsvm import parse_libsvm_lines, read_libsvm, write_libsvm
 from .profiles import DATASET_NAMES, PAPER_PROFILES, DatasetProfile, get_profile
 from .registry import (
@@ -25,9 +24,6 @@ __all__ = [
     "generate",
     "generate_sparse",
     "generate_dense",
-    "DatasetAnalysis",
-    "analyze",
-    "gini",
     "read_libsvm",
     "write_libsvm",
     "parse_libsvm_lines",

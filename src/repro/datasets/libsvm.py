@@ -16,6 +16,7 @@ value becoming -1.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -54,6 +55,8 @@ def parse_libsvm_lines(
             label = float(parts[0])
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: bad label {parts[0]!r}") from exc
+        if not math.isfinite(label):
+            raise DataFormatError(f"line {lineno}: non-finite label {parts[0]!r}")
         idx: list[int] = []
         val: list[float] = []
         prev = 0
@@ -64,6 +67,8 @@ def parse_libsvm_lines(
                 x = float(v)
             except ValueError as exc:
                 raise DataFormatError(f"line {lineno}: bad pair {tok!r}") from exc
+            if not math.isfinite(x):
+                raise DataFormatError(f"line {lineno}: non-finite value {tok!r}")
             if j < 1:
                 raise DataFormatError(f"line {lineno}: index {j} must be >= 1")
             if j <= prev:

@@ -1,7 +1,6 @@
 """SGD core: synchronous/asynchronous runners, convergence, configuration."""
 
 from .asynchronous import AsyncResult, train_asynchronous
-from .averaging import AveragingResult, AveragingSchedule, train_model_averaging
 from .config import (
     ARCHITECTURES,
     BACKENDS,
@@ -14,14 +13,6 @@ from .config import (
     default_step_size,
 )
 from .convergence import LossCurve, tolerance_threshold
-from .lowprec import (
-    BFloat16Quantizer,
-    FixedPointQuantizer,
-    Float32Quantizer,
-    Quantizer,
-    make_quantizer,
-    run_quantized_epoch,
-)
 from .reference import clear_reference_cache, reference_loss
 from .serialize import load_results, result_from_dict, result_to_dict, save_results
 from .runner import (
@@ -45,9 +36,6 @@ __all__ = [
     "train_minibatch_synchronous",
     "AsyncResult",
     "train_asynchronous",
-    "AveragingSchedule",
-    "AveragingResult",
-    "train_model_averaging",
     "reference_loss",
     "clear_reference_cache",
     "TrainResult",
@@ -60,12 +48,6 @@ __all__ = [
     "BACKENDS",
     "full_scale_factor",
     "working_set_bytes",
-    "Quantizer",
-    "Float32Quantizer",
-    "BFloat16Quantizer",
-    "FixedPointQuantizer",
-    "make_quantizer",
-    "run_quantized_epoch",
     "save_results",
     "load_results",
     "result_to_dict",

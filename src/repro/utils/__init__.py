@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, statistics, units, tables, validation."""
+"""Shared utilities: errors, RNG management, statistics, units, tables."""
 
 from .errors import (
     CellQuarantinedError,
@@ -24,14 +24,6 @@ from .units import (
     MiB,
     format_bytes,
     format_seconds,
-)
-from .validation import (
-    check_array_2d,
-    check_in,
-    check_labels,
-    check_non_negative,
-    check_positive,
-    check_probability,
 )
 
 __all__ = [
@@ -66,10 +58,4 @@ __all__ = [
     "INT32_BYTES",
     "format_bytes",
     "format_seconds",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_in",
-    "check_array_2d",
-    "check_labels",
 ]

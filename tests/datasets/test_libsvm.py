@@ -46,6 +46,17 @@ class TestParse:
         with pytest.raises(DataFormatError, match="bad label"):
             parse_libsvm_lines(io.StringIO("abc 1:1\n"))
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_label(self, label):
+        """A nan label would sort as the high class and flip a positive row."""
+        with pytest.raises(DataFormatError, match="line 2: non-finite label"):
+            parse_libsvm_lines(io.StringIO(f"1 1:1\n{label} 2:1\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_value(self, value):
+        with pytest.raises(DataFormatError, match="line 2: non-finite value"):
+            parse_libsvm_lines(io.StringIO(f"1 1:1\n-1 2:{value}\n"))
+
     def test_rejects_bad_pair(self):
         with pytest.raises(DataFormatError, match="bad pair"):
             parse_libsvm_lines(io.StringIO("+1 1:one\n"))

@@ -166,10 +166,12 @@ class TestMalformedInputsAcrossStack:
         assert m.data.dtype == np.float64  # coerced on construction
 
     def test_labels_with_nan_rejected_by_validation(self):
-        from repro.utils.validation import check_labels
+        import io
 
-        with pytest.raises(ConfigurationError):
-            check_labels("y", np.array([1.0, np.nan]), 2)
+        from repro.datasets import parse_libsvm_lines
+
+        with pytest.raises(DataFormatError, match="line 2: non-finite label"):
+            parse_libsvm_lines(io.StringIO("1 1:1\nnan 2:1\n"))
 
     def test_mismatched_dataset_shapes_rejected(self):
         X = CSRMatrix.from_dense(np.ones((4, 3)))

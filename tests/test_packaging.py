@@ -7,6 +7,7 @@ fails here rather than in ``make shapes`` minutes later.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 import pkgutil
@@ -77,6 +78,111 @@ def test_callers_import_only_what_exists(path):
         if name is not None and not hasattr(module, name):
             # ``from package import submodule``
             importlib.import_module(f"{module_name}.{name}")
+
+
+#: Modules no CLI path, registered artifact or benchmark reaches, kept
+#: on purpose.
+UNREACHED_BY_DESIGN = {
+    "repro.experiments.fig1_space": "Fig. 1 cube; run by benchmarks/ until registered",
+    "repro.hardware.hetero": "CPU+GPU future work; run by benchmarks/ until registered",
+    "repro.hardware.sweep": "speed-up vs threads; run by benchmarks/ until registered",
+    "repro.models.gradcheck": "the finite-difference oracle the gradient tests use",
+}
+KNOWN = {"repro", *MODULES}
+
+
+def _module_path(name: str) -> pathlib.Path:
+    base = ROOT / "src" / pathlib.Path(*name.split("."))
+    return base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
+
+
+@functools.lru_cache(maxsize=None)
+def _parse(name: str) -> ast.Module:
+    return ast.parse(_module_path(name).read_text(encoding="utf-8"))
+
+
+def _package(name: str) -> str:
+    return name if _module_path(name).name == "__init__.py" else name.rpartition(".")[0]
+
+
+def _absolute(node: ast.ImportFrom, package: str) -> str:
+    """The module a ``from ... import`` written in *package* names."""
+    if node.level == 0:
+        return node.module
+    base = package.rsplit(".", node.level - 1)[0]
+    return f"{base}.{node.module}" if node.module else base
+
+
+def _definer(module: str, name: str) -> str:
+    """The module that defines *name* as seen from *module*: a submodule,
+    or where a chain of re-exports leads."""
+    if f"{module}.{name}" in KNOWN:
+        return f"{module}.{name}"
+    for node in _parse(module).body:
+        if isinstance(node, ast.ImportFrom):
+            source = _absolute(node, _package(module))
+            for alias in node.names:
+                if (alias.asname or alias.name) == name and source in KNOWN:
+                    return _definer(source, alias.name)
+    return module
+
+
+def _uses(tree: ast.Module, package: str, skip_reexports: bool):
+    """Modules of the package that *tree* imports or reaches by attribute
+    (``repro.train``, ``datasets.load``); with *skip_reexports*, the
+    tree's top-level ``from ... import`` lines are not followed."""
+    bound = {}  # local name -> the module it names
+    skipped = {
+        id(node) for node in tree.body
+        if skip_reexports and isinstance(node, ast.ImportFrom)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in KNOWN:
+                    yield alias.name
+                    top = alias.name.split(".")[0]
+                    bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and id(node) not in skipped:
+            source = _absolute(node, package)
+            if source not in KNOWN:
+                continue
+            for alias in node.names:
+                target = _definer(source, alias.name)
+                yield target
+                if target == f"{source}.{alias.name}":
+                    bound[alias.asname or alias.name] = target
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in bound:
+                yield _definer(bound[node.value.id], node.attr)
+
+
+def test_every_module_is_reached():
+    """Every module runs on some CLI path, registered artifact or
+    benchmark workload: an import-graph walk from ``repro.__main__``,
+    the artifact registry and ``bench/*.py`` reaches it, where a
+    ``from package import name`` reaches the module defining *name* and
+    a sub-package's re-exports alone reach nothing.  The top-level
+    package's names are the library's front door (``import repro;
+    repro.read_libsvm(...)``), so its re-exports count."""
+    frontier = ["repro.__main__", "repro.experiments.registry"]
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        frontier.extend(_uses(tree, "bench", skip_reexports=False))
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        package = _package(name)
+        skip = package == name != "repro"
+        frontier.extend(_uses(_parse(name), package, skip_reexports=skip))
+        if "." in name:
+            frontier.append(name.rpartition(".")[0])  # importing runs its package
+    unreached = sorted(KNOWN - reached - set(UNREACHED_BY_DESIGN))
+    assert not unreached, f"nothing runs {', '.join(unreached)}"
 
 
 def _source_trees():
