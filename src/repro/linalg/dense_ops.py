@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..models.losses import stable_sigmoid
 from .trace import OpKind, OpRecord, record_op
 
 __all__ = [
@@ -223,13 +224,9 @@ def sigmoid(
     cost_scales: bool = True,
     parallelism_scales: bool = True,
 ) -> np.ndarray:
-    """Numerically stable logistic function with cost recording."""
+    """:func:`~repro.models.losses.stable_sigmoid` with cost recording."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = stable_sigmoid(x)
     record_op(
         OpRecord(
             name=name,

@@ -24,14 +24,19 @@ __all__ = [
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function computed without overflow for large |z|."""
+    """Logistic function computed without overflow for large |z|.
+
+    Branch-free: ``e = exp(-|z|)`` never overflows, and each element
+    takes ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)`` elsewhere
+    — the same arithmetic per element as gathering the two halves with
+    boolean masks, without the gathers.  ``-|z|`` is spelled
+    ``minimum(z, -z)`` so a NaN keeps its sign bit (``-abs`` would set
+    it), which keeps the result bit-identical to the masked form.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def logistic_loss(margins: np.ndarray) -> np.ndarray:

@@ -263,12 +263,17 @@ def _bgd_member(
     best_epoch = -1
     stale = 0
     prev = math.inf
+    # The loss at each iterate and the next epoch's gradient share one
+    # forward pass; the last epoch needs only the loss.
+    grad = model.full_grad(X, y, w)
     for epoch in range(_BGD_EPOCHS):
-        grad = model.full_grad(X, y, w)
         w -= step * grad
         if not np.all(np.isfinite(w)):
             break
-        loss = model.loss(X, y, w)
+        if epoch + 1 < _BGD_EPOCHS:
+            loss, grad = model.loss_and_grad(X, y, w)
+        else:
+            loss = model.loss(X, y, w)
         if not math.isfinite(loss):
             break
         losses.append(loss)

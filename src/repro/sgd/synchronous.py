@@ -67,6 +67,11 @@ def train_synchronous(
     and later epochs skip the bookkeeping.  *telemetry* (optional)
     receives a span covering the optimisation and per-epoch counters:
     a full-batch epoch is N gradient evaluations and one model update.
+
+    An evaluated epoch that another epoch follows takes its loss and
+    the next epoch's gradient from one forward pass
+    (:meth:`~repro.models.base.Model.loss_and_grad`), so each epoch
+    runs the forward pass once.
     """
     tel = ensure_telemetry(telemetry)
     params = np.array(init_params, dtype=np.float64, copy=True)
@@ -79,13 +84,15 @@ def train_synchronous(
     limit = config.divergence_factor * max(initial, 1e-12)
 
     epoch_trace = Trace()
+    grad = None
     with tel.span("sync.optimize", n_examples=n, step_size=config.step_size):
         for epoch in range(1, config.max_epochs + 1):
             if epoch == 1:
                 with recording() as epoch_trace:
-                    _sync_step(model, X, y, params, config.step_size)
+                    _sync_step(model, X, y, params, config.step_size, grad)
             else:
-                _sync_step(model, X, y, params, config.step_size)
+                _sync_step(model, X, y, params, config.step_size, grad)
+            grad = None
             tel.count(keys.EPOCHS)
             tel.count(keys.GRAD_EVALS, n)
             tel.count(keys.UPDATES_APPLIED)
@@ -94,7 +101,10 @@ def train_synchronous(
                 break
             if epoch % config.eval_every == 0 or epoch == config.max_epochs:
                 with trace_paused():
-                    loss = model.loss(X, y, params)
+                    if epoch < config.max_epochs:
+                        loss, grad = model.loss_and_grad(X, y, params)
+                    else:
+                        loss = model.loss(X, y, params)
                 tel.count(keys.LOSS_EVALS)
                 curve.record(epoch, loss)
                 if not np.isfinite(loss) or loss > limit:
@@ -105,8 +115,17 @@ def train_synchronous(
     return SyncResult(curve=curve, params=params, epoch_trace=epoch_trace)
 
 
-def _sync_step(model: Model, X: Matrix, y: np.ndarray, params: np.ndarray, step: float) -> None:
-    grad = model.full_grad(X, y, params)
+def _sync_step(
+    model: Model,
+    X: Matrix,
+    y: np.ndarray,
+    params: np.ndarray,
+    step: float,
+    grad: np.ndarray | None,
+) -> None:
+    """One epoch: the gradient at *params* (unless given), then the update."""
+    if grad is None:
+        grad = model.full_grad(X, y, params)
     # In-place model update through the primitive API so the trace
     # carries it; the update is model-sized, not example-sized.
     params[:] = axpy(

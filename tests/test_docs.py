@@ -6,6 +6,10 @@ forgets a doc row fails here.  A trailing ``*`` matches a submodule
 prefix (``repro.experiments.table*``).  At the top level only the
 reference documents are checked: the change log, the roadmap and the
 other planning notes beside them are history and may name what is gone.
+
+DESIGN.md's per-experiment index names its modules without the
+``repro.`` prefix (``sgd.synchronous``); each name in its "Implementing
+modules" column must resolve as ``repro.<name>``.
 """
 
 import importlib
@@ -56,6 +60,16 @@ def _resolves(name: str) -> bool:
     return True
 
 
+def _index_modules() -> list[str]:
+    """The back-ticked names of DESIGN.md §4's "Implementing modules" column."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    section = text.split("\n## 4.", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip().strip("|").split("|") for line in section.splitlines()
+            if line.startswith("|")]
+    column = [cell.strip() for cell in rows[0]].index("Implementing modules")
+    return [name for row in rows[2:] for name in SPAN.findall(row[column])]
+
+
 def test_every_documented_name_resolves():
     stale = [
         f"{path.relative_to(ROOT)}: {name}"
@@ -65,3 +79,10 @@ def test_every_documented_name_resolves():
         if not _resolves(name)
     ]
     assert stale == []
+
+
+def test_experiment_index_modules_resolve():
+    names = _index_modules()
+    assert len(names) > 10
+    stale = [name for name in names if not _resolves(f"repro.{name}")]
+    assert not stale, f"DESIGN.md §4 names modules that do not exist: {stale}"
