@@ -37,13 +37,23 @@ chaos-grid:      ## degraded-mode grid run under injected cell faults
 	@ls /dev/shm/psm_* >/dev/null 2>&1 && \
 		{ echo 'chaos-grid: leaked shared-memory segments'; ls /dev/shm/psm_*; exit 1; } || true
 
-GRID_RESUME_ARGS = --artifacts table2 table3 --tasks lr svm --datasets covtype w8a \
-	--scale tiny --tolerance 0.05 --jobs 2 --store /tmp/grid_resume/store
+GRID_RESUME_GRID = --artifacts table2 table3 --tasks lr svm --datasets covtype w8a \
+	--scale tiny --tolerance 0.05
+GRID_RESUME_ARGS = $(GRID_RESUME_GRID) --jobs 2 --store /tmp/grid_resume/store
 
-grid-resume:     ## --jobs 2 grid into a store, then resume it: same tables, nothing re-executed
+grid-resume:     ## --jobs 2 grid into a store, then resume it: same tables, nothing re-executed; a cold --jobs 1 run matches it
 	rm -rf /tmp/grid_resume && mkdir -p /tmp/grid_resume
 	REPRO_CACHE_DIR=/tmp/grid_resume/cache PYTHONPATH=src python -m repro experiments \
 		$(GRID_RESUME_ARGS) > /tmp/grid_resume/first.txt
+	@# The reference batch is placement only: solved cold on a transient
+	@# pool (--jobs 1) and on the live grid pool (--jobs 2), it writes
+	@# the same cache bytes, and the tables agree.
+	REPRO_CACHE_DIR=/tmp/grid_resume/cache1 PYTHONPATH=src python -m repro experiments \
+		$(GRID_RESUME_GRID) --jobs 1 --store /tmp/grid_resume/store1 \
+		> /tmp/grid_resume/jobs1.txt
+	cmp /tmp/grid_resume/cache/reference_losses.json \
+		/tmp/grid_resume/cache1/reference_losses.json
+	diff /tmp/grid_resume/first.txt /tmp/grid_resume/jobs1.txt
 	REPRO_CACHE_DIR=/tmp/grid_resume/cache PYTHONPATH=src python -m repro experiments \
 		$(GRID_RESUME_ARGS) --resume \
 		--manifest-out /tmp/grid_resume/manifest.json > /tmp/grid_resume/resumed.txt

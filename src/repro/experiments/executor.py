@@ -34,8 +34,9 @@ serial path:
   dataset arrays are published once into read-only shared-memory
   segments every worker maps instead of re-generating
   (``repro.experiments.shared_data``), and reference optima are solved
-  once per (task, dataset) on the same workers — persisted through the
-  result store — and shipped to workers in the payload.  All three are
+  once per (task, dataset), every cold pair of a grid in one batch on
+  the same workers — persisted through the result store — and shipped
+  to workers in the payload.  All three are
   pure placement optimisations: the numbers are bit-identical with any
   of them disabled (``shared_data=False`` falls back to per-worker
   materialisation over copy-on-write fork memory).
@@ -84,7 +85,7 @@ from ..faults.recovery import CellRetryPolicy
 from ..sgd.config import RunConfig
 from ..sgd.reference import (
     cached_reference,
-    reference_loss,
+    reference_losses,
     reference_problem,
     seed_reference_cache,
 )
@@ -486,55 +487,62 @@ class GridExecutor:
 
         A serial grid solves the reference lazily inside :func:`run`
         and shares it through the in-process cache; a fan-out without
-        this step would instead solve it once per *worker*.  Solving (or
-        loading) it in the parent and shipping the value in the payload
+        this step would instead solve it once per *worker*.  Loading
+        each pair's optimum in the parent (cache, then store) and
+        solving every remaining pair in one batch
+        (:func:`~repro.sgd.reference.reference_losses`, on the live pool
+        when there is one), then shipping the value in the payload,
         keeps the count at one solve per (task, dataset) regardless of
         placement — and persists it through the result store so resumed
         grids never re-solve at all.
+
+        A pair whose dataset fails to load, and every pair of a batch
+        that raises, stays unresolved: its cells then solve (or fail)
+        in their workers exactly as they would without this step.
         """
+        ctx = self.ctx
         resolved: dict[tuple[str, str], tuple[str, float] | None] = {}
+        cold: dict[tuple[str, str], tuple] = {}  # pair -> reference problem
         for job in to_run:
             pair = (job.cell.task, job.cell.dataset)
-            if pair not in resolved:
-                config = job.payload["config"]
-                resolved[pair] = self._resolve_reference(config, tel=tel)
-            entry = resolved[pair]
+            if pair in resolved or pair in cold:
+                continue
+            config = job.payload["config"]
+            try:
+                ds = load_for(config.task, config.dataset, config.scale, config.seed)
+            except Exception:
+                resolved[pair] = None
+                continue
+            model, init, key = reference_problem(
+                config.task, config.dataset, ds, config.seed
+            )
+            value = cached_reference(key)
+            if value is None and ctx.store is not None:
+                value = ctx.store.load_reference(key)
+                if value is not None:
+                    seed_reference_cache({key: value})
+            if value is None:
+                cold[pair] = (model, ds.X, ds.y, init, key)
+                continue
+            tel.count(keys.GRID_REFERENCE_REUSED)
+            resolved[pair] = self._keep_reference(key, value)
+        if cold:
+            try:
+                values = reference_losses(list(cold.values()))
+            except Exception:
+                values = []  # every pair of the batch stays unresolved
+            for (pair, problem), value in zip(cold.items(), values):
+                tel.count(keys.GRID_REFERENCE_COMPUTED)
+                resolved[pair] = self._keep_reference(problem[4], value)
+        for job in to_run:
+            entry = resolved.get((job.cell.task, job.cell.dataset))
             if entry is not None:
                 job.payload["reference"] = {entry[0]: entry[1]}
 
-    def _resolve_reference(
-        self, config: RunConfig, *, tel
-    ) -> tuple[str, float] | None:
-        """One cell family's reference optimum: cache -> store -> solve.
-
-        The key comes from :func:`~repro.sgd.reference.reference_problem`,
-        as in the worker.  Load or solve failures return ``None`` — the
-        owning cell then fails (or succeeds) in its worker exactly as it
-        would have without this optimisation.
-        """
-        ctx = self.ctx
-        try:
-            ds = load_for(config.task, config.dataset, config.scale, config.seed)
-        except Exception:
-            return None
-        model, init, key = reference_problem(
-            config.task, config.dataset, ds, config.seed
-        )
-        value = cached_reference(key)
-        if value is None and ctx.store is not None:
-            value = ctx.store.load_reference(key)
-            if value is not None:
-                seed_reference_cache({key: value})
-        if value is None:
-            try:
-                value = reference_loss(model, ds.X, ds.y, init, key=key)
-            except Exception:
-                return None
-            tel.count(keys.GRID_REFERENCE_COMPUTED)
-        else:
-            tel.count(keys.GRID_REFERENCE_REUSED)
-        if ctx.store is not None:
-            ctx.store.save_reference(key, value)
+    def _keep_reference(self, key: str, value: float) -> tuple[str, float]:
+        """Persist one resolved optimum to the store; return its entry."""
+        if self.ctx.store is not None:
+            self.ctx.store.save_reference(key, value)
         return key, value
 
     def _run_jobs(self, jobs: list[_Job], tel, parent_span) -> None:
@@ -577,7 +585,7 @@ class GridExecutor:
         tel.count(keys.GRID_POOL_CREATED if created else keys.GRID_POOL_REUSED)
         tel.set_gauge(keys.GRID_POOL_WORKERS, workers)
         try:
-            # The pool is live: the reference members run on its workers.
+            # The pool is live: the reference batch runs on its workers.
             self._prepare_references(to_run, tel)
             self._supervise(pool, to_run, tel, parent_span)
         except BaseException:

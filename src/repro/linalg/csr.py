@@ -47,7 +47,7 @@ class CSRMatrix:
         O(nnz) verification).
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape")
+    __slots__ = ("indptr", "indices", "data", "shape", "_row_nnz")
 
     def __init__(
         self,
@@ -61,8 +61,14 @@ class CSRMatrix:
         self.indices = np.ascontiguousarray(indices, dtype=np.int32)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.shape = (int(shape[0]), int(shape[1]))
+        self._row_nnz: np.ndarray | None = None
         if check:
             self._validate()
+
+    def __reduce__(self):
+        # The arrays and shape alone: the row counts are recomputed on
+        # first use rather than shipped with every pickled matrix.
+        return CSRMatrix, (self.indptr, self.indices, self.data, self.shape, False)
 
     # -- construction ------------------------------------------------------
 
@@ -155,8 +161,18 @@ class CSRMatrix:
 
     @property
     def row_nnz(self) -> np.ndarray:
-        """Per-row non-zero counts (int64 array of length ``n_rows``)."""
-        return np.diff(self.indptr)
+        """Per-row non-zero counts (int64 array of length ``n_rows``).
+
+        Computed on first access and kept (8 bytes a row: 5.4 MB for
+        rcv1 at ``scale="paper"``); the array is read-only, since every
+        later caller shares it.
+        """
+        counts = self._row_nnz
+        if counts is None:
+            counts = np.diff(self.indptr)
+            counts.flags.writeable = False
+            self._row_nnz = counts
+        return counts
 
     @property
     def density(self) -> float:

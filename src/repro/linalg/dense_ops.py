@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..models.losses import stable_sigmoid
-from .trace import OpKind, OpRecord, record_op
+from .trace import OpKind, OpRecord, is_recording, record_op
 
 __all__ = [
     "gemm",
@@ -56,19 +56,20 @@ def gemm(
     if k != k2:
         raise ValueError(f"gemm shape mismatch: {A.shape} @ {B.shape}")
     out = A @ B
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.GEMM,
-            flops=2.0 * m * n * k,
-            bytes_read=(A.size + B.size) * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, m),
-            result_size=out.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.GEMM,
+                flops=2.0 * m * n * k,
+                bytes_read=(A.size + B.size) * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, m),
+                result_size=out.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -86,19 +87,20 @@ def gemv(
     if x.shape != (k,):
         raise ValueError(f"gemv shape mismatch: {A.shape} @ {x.shape}")
     out = A @ x
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.GEMV,
-            flops=2.0 * m * k,
-            bytes_read=(A.size + x.size) * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, m),
-            result_size=out.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.GEMV,
+                flops=2.0 * m * k,
+                bytes_read=(A.size + x.size) * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, m),
+                result_size=out.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -116,19 +118,20 @@ def rgemv(
     if v.shape != (m,):
         raise ValueError(f"rgemv shape mismatch: {A.T.shape} @ {v.shape}")
     out = A.T @ v
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.GEMV,
-            flops=2.0 * m * k,
-            bytes_read=(A.size + v.size) * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, k),
-            result_size=out.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.GEMV,
+                flops=2.0 * m * k,
+                bytes_read=(A.size + v.size) * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, k),
+                result_size=out.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -144,19 +147,20 @@ def axpy(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     out = alpha * x + y
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.ELEMENTWISE,
-            flops=2.0 * out.size,
-            bytes_read=(x.size + y.size) * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, out.size),
-            result_size=out.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.ELEMENTWISE,
+                flops=2.0 * out.size,
+                bytes_read=(x.size + y.size) * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, out.size),
+                result_size=out.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -170,19 +174,20 @@ def scale(
     """Return ``alpha * x`` with cost recording."""
     x = np.asarray(x, dtype=np.float64)
     out = alpha * x
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.ELEMENTWISE,
-            flops=float(out.size),
-            bytes_read=x.size * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, out.size),
-            result_size=out.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.ELEMENTWISE,
+                flops=float(out.size),
+                bytes_read=x.size * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, out.size),
+                result_size=out.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -202,19 +207,20 @@ def elementwise(
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.asarray(fn(x), dtype=np.float64)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.ELEMENTWISE,
-            flops=flops_per_element * x.size,
-            bytes_read=x.size * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, x.size),
-            result_size=out.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.ELEMENTWISE,
+                flops=flops_per_element * x.size,
+                bytes_read=x.size * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, x.size),
+                result_size=out.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -227,19 +233,20 @@ def sigmoid(
     """:func:`~repro.models.losses.stable_sigmoid` with cost recording."""
     x = np.asarray(x, dtype=np.float64)
     out = stable_sigmoid(x)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.ELEMENTWISE,
-            flops=6.0 * x.size,
-            bytes_read=x.size * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, x.size),
-            result_size=out.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.ELEMENTWISE,
+                flops=6.0 * x.size,
+                bytes_read=x.size * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, x.size),
+                result_size=out.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -253,19 +260,20 @@ def reduce_sum(
     """Sum-reduction with cost recording."""
     x = np.asarray(x, dtype=np.float64)
     out = np.asarray(x.sum(axis=axis), dtype=np.float64)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.REDUCTION,
-            flops=float(x.size),
-            bytes_read=x.size * _F64,
-            bytes_written=max(1, out.size) * _F64,
-            parallel_tasks=max(1, x.size),
-            result_size=max(1, out.size),
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.REDUCTION,
+                flops=float(x.size),
+                bytes_read=x.size * _F64,
+                bytes_written=max(1, out.size) * _F64,
+                parallel_tasks=max(1, x.size),
+                result_size=max(1, out.size),
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -279,19 +287,20 @@ def reduce_mean(
     """Mean-reduction with cost recording."""
     x = np.asarray(x, dtype=np.float64)
     out = np.asarray(x.mean(axis=axis), dtype=np.float64)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.REDUCTION,
-            flops=float(x.size) + 1.0,
-            bytes_read=x.size * _F64,
-            bytes_written=max(1, out.size) * _F64,
-            parallel_tasks=max(1, x.size),
-            result_size=max(1, out.size),
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.REDUCTION,
+                flops=float(x.size) + 1.0,
+                bytes_read=x.size * _F64,
+                bytes_written=max(1, out.size) * _F64,
+                parallel_tasks=max(1, x.size),
+                result_size=max(1, out.size),
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -312,19 +321,20 @@ def batch_sgd_deltas(
     Xb = np.asarray(Xb, dtype=np.float64)
     coef = np.asarray(coef, dtype=np.float64)
     out = (-step * coef)[:, None] * Xb
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.ELEMENTWISE,
-            flops=2.0 * out.size,
-            bytes_read=(Xb.size + coef.size) * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, Xb.shape[0]),
-            result_size=out.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.ELEMENTWISE,
+                flops=2.0 * out.size,
+                bytes_read=(Xb.size + coef.size) * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, Xb.shape[0]),
+                result_size=out.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return out
 
 
@@ -342,17 +352,18 @@ def outer_update(
     Used by per-example MLP weight updates; returns *W* for chaining.
     """
     W += alpha * np.outer(u, v)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.ELEMENTWISE,
-            flops=2.0 * W.size,
-            bytes_read=(u.size + v.size + W.size) * _F64,
-            bytes_written=W.size * _F64,
-            parallel_tasks=max(1, W.shape[0]),
-            result_size=W.size,
-            cost_scales=cost_scales,
-            parallelism_scales=parallelism_scales,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.ELEMENTWISE,
+                flops=2.0 * W.size,
+                bytes_read=(u.size + v.size + W.size) * _F64,
+                bytes_written=W.size * _F64,
+                parallel_tasks=max(1, W.shape[0]),
+                result_size=W.size,
+                cost_scales=cost_scales,
+                parallelism_scales=parallelism_scales,
+            )
         )
-    )
     return W

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..utils.stats import dispersion_ratio
 from .csr import CSRMatrix
-from .trace import OpKind, OpRecord, record_op
+from .trace import OpKind, OpRecord, is_recording, record_op
 
 __all__ = [
     "csr_matvec",
@@ -44,19 +44,20 @@ def _row_dispersion(A: CSRMatrix) -> float:
 def csr_matvec(A: CSRMatrix, x: np.ndarray, name: str = "csr_matvec") -> np.ndarray:
     """``A @ x`` with cost recording (row-parallel SpMV)."""
     out = A.matvec(x)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.SPMV,
-            flops=2.0 * A.nnz,
-            bytes_read=A.nnz * (_F64 + _I32) + A.nnz * _F64,  # csr row + gathered x
-            bytes_written=A.n_rows * _F64,
-            parallel_tasks=max(1, A.n_rows),
-            result_size=A.n_rows,
-            irregular=True,
-            dispersion=_row_dispersion(A),
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.SPMV,
+                flops=2.0 * A.nnz,
+                bytes_read=A.nnz * (_F64 + _I32) + A.nnz * _F64,  # csr row + gathered x
+                bytes_written=A.n_rows * _F64,
+                parallel_tasks=max(1, A.n_rows),
+                result_size=A.n_rows,
+                irregular=True,
+                dispersion=_row_dispersion(A),
+            )
         )
-    )
     return out
 
 
@@ -68,19 +69,20 @@ def csr_rmatvec(A: CSRMatrix, v: np.ndarray, name: str = "csr_rmatvec") -> np.nd
     results, both captured by the irregular flag.
     """
     out = A.rmatvec(v)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.SPMV,
-            flops=2.0 * A.nnz,
-            bytes_read=A.nnz * (_F64 + _I32) + A.n_rows * _F64,
-            bytes_written=A.nnz * _F64,  # scattered accumulations
-            parallel_tasks=max(1, A.n_rows),
-            result_size=A.n_cols,
-            irregular=True,
-            dispersion=_row_dispersion(A),
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.SPMV,
+                flops=2.0 * A.nnz,
+                bytes_read=A.nnz * (_F64 + _I32) + A.n_rows * _F64,
+                bytes_written=A.nnz * _F64,  # scattered accumulations
+                parallel_tasks=max(1, A.n_rows),
+                result_size=A.n_cols,
+                irregular=True,
+                dispersion=_row_dispersion(A),
+            )
         )
-    )
     return out
 
 
@@ -88,19 +90,20 @@ def csr_matmat(A: CSRMatrix, B: np.ndarray, name: str = "csr_matmat") -> np.ndar
     """``A @ B`` for dense *B* with cost recording (CSR x dense GEMM)."""
     out = A.matmat(B)
     k = B.shape[1]
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.SPMV,
-            flops=2.0 * A.nnz * k,
-            bytes_read=A.nnz * (_F64 + _I32) + A.nnz * k * _F64,
-            bytes_written=out.size * _F64,
-            parallel_tasks=max(1, A.n_rows),
-            result_size=out.size,
-            irregular=True,
-            dispersion=_row_dispersion(A),
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.SPMV,
+                flops=2.0 * A.nnz * k,
+                bytes_read=A.nnz * (_F64 + _I32) + A.nnz * k * _F64,
+                bytes_written=out.size * _F64,
+                parallel_tasks=max(1, A.n_rows),
+                result_size=out.size,
+                irregular=True,
+                dispersion=_row_dispersion(A),
+            )
         )
-    )
     return out
 
 
@@ -114,19 +117,20 @@ def csr_gather_rows(
     sub-matrix plus the row-pointer lookups.
     """
     out = A.take_rows(rows)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.GATHER_SCATTER,
-            flops=0.0,
-            bytes_read=out.nnz * (_F64 + _I32) + np.asarray(rows).size * 8,
-            bytes_written=out.nnz * (_F64 + _I32),
-            parallel_tasks=max(1, np.asarray(rows).size),
-            result_size=out.nnz,
-            irregular=True,
-            dispersion=_row_dispersion(out) if out.n_rows else 1.0,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.GATHER_SCATTER,
+                flops=0.0,
+                bytes_read=out.nnz * (_F64 + _I32) + np.asarray(rows).size * 8,
+                bytes_written=out.nnz * (_F64 + _I32),
+                parallel_tasks=max(1, np.asarray(rows).size),
+                result_size=out.nnz,
+                irregular=True,
+                dispersion=_row_dispersion(out) if out.n_rows else 1.0,
+            )
         )
-    )
     return out
 
 
@@ -150,19 +154,20 @@ def csr_submatvec(
         counts = np.diff(indptr)
         nonempty = counts > 0
         out[nonempty] = np.add.reduceat(prod, indptr[:-1][nonempty])
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.SPMV,
-            flops=2.0 * indices.size,
-            bytes_read=indices.size * (_F64 + _I32) + indices.size * _F64,
-            bytes_written=rows.size * _F64,
-            parallel_tasks=max(1, rows.size),
-            result_size=rows.size,
-            irregular=True,
-            dispersion=dispersion_ratio(np.diff(indptr)) if rows.size else 1.0,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.SPMV,
+                flops=2.0 * indices.size,
+                bytes_read=indices.size * (_F64 + _I32) + indices.size * _F64,
+                bytes_written=rows.size * _F64,
+                parallel_tasks=max(1, rows.size),
+                result_size=rows.size,
+                irregular=True,
+                dispersion=dispersion_ratio(np.diff(indptr)) if rows.size else 1.0,
+            )
         )
-    )
     return out
 
 
@@ -174,18 +179,19 @@ def gather(x: np.ndarray, indices: np.ndarray, name: str = "gather") -> np.ndarr
     """
     indices = np.asarray(indices)
     out = x[indices]
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.GATHER_SCATTER,
-            flops=0.0,
-            bytes_read=indices.size * (_F64 + _I32),
-            bytes_written=indices.size * _F64,
-            parallel_tasks=max(1, indices.size),
-            result_size=indices.size,
-            irregular=True,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.GATHER_SCATTER,
+                flops=0.0,
+                bytes_read=indices.size * (_F64 + _I32),
+                bytes_written=indices.size * _F64,
+                parallel_tasks=max(1, indices.size),
+                result_size=indices.size,
+                irregular=True,
+            )
         )
-    )
     return out
 
 
@@ -205,16 +211,17 @@ def scatter_add(
     indices = np.asarray(indices)
     values = np.asarray(values, dtype=np.float64)
     np.add.at(x, indices, values)
-    record_op(
-        OpRecord(
-            name=name,
-            kind=OpKind.GATHER_SCATTER,
-            flops=float(indices.size),
-            bytes_read=indices.size * (_F64 + _I32),
-            bytes_written=indices.size * _F64,
-            parallel_tasks=max(1, indices.size),
-            result_size=indices.size,
-            irregular=True,
+    if is_recording():
+        record_op(
+            OpRecord(
+                name=name,
+                kind=OpKind.GATHER_SCATTER,
+                flops=float(indices.size),
+                bytes_read=indices.size * (_F64 + _I32),
+                bytes_written=indices.size * _F64,
+                parallel_tasks=max(1, indices.size),
+                result_size=indices.size,
+                irregular=True,
+            )
         )
-    )
     return x

@@ -4,7 +4,10 @@ Every primitive in :mod:`repro.linalg` both *computes* its result with
 NumPy and *records* an :class:`OpRecord` describing the abstract work it
 performed: floating-point operations, bytes moved, the available degree
 of data parallelism, the size of the result (ViennaCL's parallelisation
-policy keys on it), and memory-access regularity.  A full SGD iteration
+policy keys on it), and memory-access regularity.  The record is built
+only while a recorder is active (:func:`is_recording`): outside a
+:func:`recording` scope, or inside :func:`trace_paused`, a primitive
+costs its arithmetic alone.  A full SGD iteration
 therefore leaves behind a trace that the analytical CPU/GPU models in
 :mod:`repro.hardware` turn into time — this is how the reproduction
 replaces the paper's wall-clock measurements on hardware we do not have
@@ -24,7 +27,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-__all__ = ["OpKind", "OpRecord", "Trace", "record_op", "recording", "trace_paused"]
+__all__ = [
+    "OpKind",
+    "OpRecord",
+    "Trace",
+    "is_recording",
+    "record_op",
+    "recording",
+    "trace_paused",
+]
 
 
 class OpKind(str, Enum):
@@ -187,13 +198,22 @@ class Trace:
 _STACK: list[Trace | None] = []
 
 
+def is_recording() -> bool:
+    """Whether :func:`record_op` would keep a record made now.
+
+    True inside :func:`recording` unless a :func:`trace_paused` block is
+    innermost.  Primitives test it before building an :class:`OpRecord`.
+    """
+    return bool(_STACK) and _STACK[-1] is not None
+
+
 def record_op(op: OpRecord) -> None:
     """Record *op* into the innermost active trace, if any.
 
     A no-op when no recorder is active (or recording is paused), so the
     primitives stay usable as plain numerical functions.
     """
-    if _STACK and _STACK[-1] is not None:
+    if is_recording():
         _STACK[-1].add(op)
 
 

@@ -20,9 +20,15 @@ We reproduce the protocol with a bounded budget: the reference for a
 
 The constant-step members are independent tasks for the worker pool
 (:mod:`repro.utils.pool`): the live warm pool, else a transient pool of
-one worker per usable CPU; inline in a daemon or on one CPU.  Their
-trajectories are *folded in serial program order*, so the result is
-bit-identical wherever the members ran.
+at most one worker per usable CPU; inline in a daemon or when one
+process would run them.  :func:`reference_losses` solves several cold
+problems at once: every member of every problem in one pool map, then
+each problem's finish (the fold, the winner's iterate and the polish)
+in a second map on the same workers, so no worker idles while another
+problem is finished.  Trajectories are *folded in serial program
+order*, so the result is bit-identical wherever the members ran and
+however many problems share the batch; :func:`reference_loss` is the
+batch of one.
 
 Results are cached in-process and optionally on disk (set
 ``REPRO_CACHE_DIR``); the experiment harness reruns the same keys
@@ -33,12 +39,14 @@ entries.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
 import os
 import tempfile
 from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +62,7 @@ from ..utils.rng import DEFAULT_SEED, derive_rng
 
 __all__ = [
     "reference_loss",
+    "reference_losses",
     "reference_problem",
     "clear_reference_cache",
     "cached_reference",
@@ -70,6 +79,8 @@ _BGD_STEPS = (10.0, 100.0, 1000.0)
 _SGD_EPOCHS = 150
 _BGD_EPOCHS = 800
 _POLISH_EPOCHS = 80
+#: Constant-step members per problem: one pool task each.
+_MEMBERS = len(_SGD_STEPS) + len(_BGD_STEPS)
 
 #: Epochs of non-improving loss before a batch-GD member may consider
 #: the plateau exit (shared by the member's local bound and the fold).
@@ -189,14 +200,34 @@ def reference_loss(
         Cache key (e.g. ``"lr/w8a/3000x300/seed0"``); ``None`` bypasses
         caching.
     """
-    cached = cached_reference(key) if key is not None else None
-    if cached is not None:
-        return cached
-    value = _protocol_reference(model, X, y, init_params)
-    if key is not None:
-        _CACHE[key] = value
-        _store_disk_cache({key: value})
-    return value
+    return reference_losses([(model, X, y, init_params, key)])[0]
+
+
+def reference_losses(
+    problems: Sequence[tuple[Model, Matrix, np.ndarray, np.ndarray, str | None]],
+) -> list[float]:
+    """:func:`reference_loss` of each ``(model, X, y, init_params, key)``.
+
+    Cached keys are read back; every cold problem is solved in one
+    fan-out, and the disk cache is written once.  Each value is
+    bit-identical to the problem's own :func:`reference_loss`.  If the
+    solve raises, no value of the batch is cached.
+    """
+    values = [
+        cached_reference(key) if key is not None else None for *_, key in problems
+    ]
+    cold = [i for i, value in enumerate(values) if value is None]
+    if not cold:
+        return values
+    solved = _solve_batch([problems[i][:4] for i in cold])
+    fresh: dict[str, float] = {}
+    for i, value in zip(cold, solved):
+        values[i] = value
+        key = problems[i][4]
+        if key is not None:
+            _CACHE[key] = fresh[key] = value
+    _store_disk_cache(fresh)
+    return values
 
 
 # --- constant-step family members ------------------------------------------
@@ -297,36 +328,66 @@ def _bgd_iterate_at(
     return w
 
 
-def _pool_task(member_args, _heartbeat):
-    """A member as a pool task: called exactly as the inline loop calls it."""
-    member, *args = member_args
-    return member(*args)
+def _pool_task(call, _heartbeat):
+    """A call as a pool task: evaluated exactly as the inline loop does."""
+    fn, *args = call
+    return fn(*args)
 
 
-def _run_members(model, X, y, w0):
-    """Compute all constant-step members: inline in a daemon (it cannot
-    fork) or at width 1, else on the live pool or on a transient one."""
+@contextlib.contextmanager
+def _placement(tasks: int) -> Iterator[Callable[[list[tuple]], list]]:
+    """Yield ``run(calls)``: each ``(fn, *args)`` evaluated, in call order.
+
+    Inline in a daemon (it cannot fork) or when one process would run
+    the *tasks*; else on the live pool, or on a transient one of at most
+    one worker per usable CPU that is reaped on exit.
+    """
     live = Pool.live
-    pool = live or Pool(min(len(_SGD_STEPS) + len(_BGD_STEPS), _usable_cpus()))
+    pool = live or Pool(min(tasks, _usable_cpus()))
     if multiprocessing.current_process().daemon or pool.jobs == 1:
-        return (
-            [_sgd_member(model, X, y, w0, step) for step in _SGD_STEPS],
-            [_bgd_member(model, X, y, w0, step) for step in _BGD_STEPS],
-        )
-    tasks = [(_pool_task, (_sgd_member, model, X, y, w0, s)) for s in _SGD_STEPS]
-    tasks += [(_pool_task, (_bgd_member, model, X, y, w0, s)) for s in _BGD_STEPS]
+        yield lambda calls: [fn(*args) for fn, *args in calls]
+        return
     try:
-        replies = pool.map(tasks)
+        yield lambda calls: pool.map([(_pool_task, call) for call in calls])
     finally:
         if pool is not live:
             pool.close()
-    return replies[: len(_SGD_STEPS)], replies[len(_SGD_STEPS) :]
 
 
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _member_calls(model: Model, X: Matrix, y: np.ndarray, w0: np.ndarray) -> list:
+    """One problem's constant-step members, SGD steps then batch-GD steps."""
+    return [(_sgd_member, model, X, y, w0, s) for s in _SGD_STEPS] + [
+        (_bgd_member, model, X, y, w0, s) for s in _BGD_STEPS
+    ]
+
+
+def _run_members(model, X, y, w0):
+    """One problem's members, placed as a batch's are: (SGD, batch-GD)."""
+    with _placement(_MEMBERS) as run:
+        replies = run(_member_calls(model, X, y, w0))
+    return replies[: len(_SGD_STEPS)], replies[len(_SGD_STEPS) :]
+
+
+def _solve_batch(problems: list[tuple]) -> list[float]:
+    """Reference values of ``(model, X, y, w0)`` problems, in order.
+
+    One map runs every member of every problem; a second runs each
+    problem's :func:`_finish` on the same placement.
+    """
+    with _placement(len(problems) * _MEMBERS) as run:
+        replies = run([call for p in problems for call in _member_calls(*p)])
+        return run(
+            [
+                (_finish, *problem, replies[i * _MEMBERS : (i + 1) * _MEMBERS])
+                for i, problem in enumerate(problems)
+            ]
+        )
 
 
 def _fold_members(
@@ -366,11 +427,20 @@ def _fold_members(
 def _protocol_reference(
     model: Model, X: Matrix, y: np.ndarray, w0: np.ndarray
 ) -> float:
+    """One uncached solve: the batch of one problem."""
+    return _solve_batch([(model, X, y, w0)])[0]
+
+
+def _finish(
+    model: Model, X: Matrix, y: np.ndarray, w0: np.ndarray, replies: list
+) -> float:
+    """Fold one problem's member *replies* and polish the winner."""
     best = model.loss(X, y, w0)
 
     # Families 1 and 2: independent constant-step members, reduced in
     # serial order.
-    sgd_results, bgd_results = _run_members(model, X, y, w0)
+    sgd_results = replies[: len(_SGD_STEPS)]
+    bgd_results = replies[len(_SGD_STEPS) :]
     best, winner = _fold_members(best, sgd_results, bgd_results)
 
     if winner is None:

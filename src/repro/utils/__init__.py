@@ -9,7 +9,7 @@ from .errors import (
     TraceError,
 )
 from .rng import DEFAULT_SEED, derive_rng, make_rng, spawn_streams, stable_hash
-from .stats import RunningStats, dispersion_ratio, geometric_mean, percentile_summary
+from .stats import RunningStats, dispersion_ratio, geometric_mean
 from .tables import format_cell, render_bar_chart, render_line_chart, render_table
 from .units import (
     CACHE_LINE_BYTES,
@@ -41,7 +41,6 @@ __all__ = [
     "RunningStats",
     "geometric_mean",
     "dispersion_ratio",
-    "percentile_summary",
     "render_table",
     "render_bar_chart",
     "render_line_chart",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RunningStats", "geometric_mean", "dispersion_ratio", "percentile_summary"]
+__all__ = ["RunningStats", "geometric_mean", "dispersion_ratio"]
 
 
 @dataclass
@@ -107,18 +107,3 @@ def dispersion_ratio(values: np.ndarray) -> float:
     if m <= 0:
         return 1.0
     return max(1.0, float(arr.max()) / m)
-
-
-def percentile_summary(values: np.ndarray) -> dict[str, float]:
-    """Return min/p25/median/p75/max/mean of a sample as a dict."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        return {k: float("nan") for k in ("min", "p25", "median", "p75", "max", "mean")}
-    return {
-        "min": float(arr.min()),
-        "p25": float(np.percentile(arr, 25)),
-        "median": float(np.percentile(arr, 50)),
-        "p75": float(np.percentile(arr, 75)),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
-    }

@@ -27,6 +27,7 @@ from repro.experiments import (
     warm_pool_info,
 )
 from repro.faults import CellRetryPolicy, FaultPlan
+from repro.sgd import reference as refmod
 from repro.sgd.reference import clear_reference_cache
 from repro.telemetry import Telemetry, keys
 from repro.utils.errors import WorkerError
@@ -60,6 +61,20 @@ def shm_segments() -> set[str]:
         return {p for p in os.listdir("/dev/shm") if p.startswith("psm_")}
     except FileNotFoundError:  # non-Linux: no listable shm mount
         return set()
+
+
+#: Feature count of the dataset whose reference members fail, set by
+#: the test before the pool forks (the workers inherit it).
+_FAILING_WIDTH: list[int] = []
+_POOL_TASK = refmod._pool_task
+
+
+def _failing_pool_task(call, heartbeat):
+    """A reference pool task whose members raise for one dataset."""
+    fn, _model, X, *_rest = call
+    if fn is refmod._sgd_member and X.shape[1] in _FAILING_WIDTH:
+        raise RuntimeError("injected reference member failure")
+    return _POOL_TASK(call, heartbeat)
 
 
 @pytest.fixture()
@@ -310,3 +325,36 @@ class TestReferenceDedup:
         counters = tel.counters()
         assert keys.GRID_REFERENCE_COMPUTED not in counters
         assert counters[keys.GRID_REFERENCE_REUSED] >= 1
+
+    def test_failed_batch_leaves_its_pairs_unresolved(self, tmp_path, monkeypatch):
+        """A member that raises for one key fails the grid's reference
+        batch: no pair of it is resolved in the parent, the cells solve
+        their own reference in their workers, and the grid's results
+        equal a clean run's."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        clear_reference_cache()
+        clean = GridExecutor(make_ctx(jobs=2)).execute(async_cells())
+        shutdown_grid_pool()  # the next pool forks with the patch in place
+        clear_reference_cache()
+
+        monkeypatch.setattr(refmod, "_pool_task", _failing_pool_task)
+        _FAILING_WIDTH[:] = [load("w8a", "tiny").n_features]
+        store = ResultStore(tmp_path / "grid")
+        tel = Telemetry()
+        try:
+            ctx = make_ctx(jobs=2, store=store, telemetry=tel)
+            failed = GridExecutor(ctx).execute(async_cells())
+        finally:
+            _FAILING_WIDTH.clear()
+        counters = tel.counters()
+        assert keys.GRID_REFERENCE_COMPUTED not in counters
+        assert keys.GRID_REFERENCE_REUSED not in counters
+        assert store.references() == {}  # neither pair was resolved
+        assert not ctx.failures
+        assert failed.keys() == clean.keys()
+        for cell, want in clean.items():
+            got = failed[cell]
+            assert got.curve.losses == want.curve.losses
+            assert got.time_per_iter == want.time_per_iter
+            assert got.optimal_loss == want.optimal_loss
+            assert np.array_equal(got.params, want.params)

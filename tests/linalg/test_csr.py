@@ -1,5 +1,7 @@
 """Tests for the from-scratch CSR matrix type, including property tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,21 @@ class TestProperties:
     def test_row_cache_lines_empty_row(self):
         m = CSRMatrix.from_rows([(np.array([], dtype=np.int64), np.array([]))], 8)
         assert m.row_cache_lines().tolist() == [0]
+
+    def test_row_nnz_computed_once_and_read_only(self, small_csr):
+        counts = small_csr.row_nnz
+        assert counts is small_csr.row_nnz
+        assert counts.tolist() == np.diff(small_csr.indptr).tolist()
+        with pytest.raises(ValueError):
+            counts[0] = 99
+        assert small_csr.row_nnz[3] == 0
+
+    def test_row_nnz_survives_a_pickle_round_trip(self, small_csr):
+        small_csr.row_nnz  # cached before pickling
+        copy = pickle.loads(pickle.dumps(small_csr))
+        np.testing.assert_array_equal(copy.row_nnz, small_csr.row_nnz)
+        assert not copy.row_nnz.flags.writeable
+        np.testing.assert_array_equal(copy.to_dense(), small_csr.to_dense())
 
 
 class TestArithmetic:

@@ -189,3 +189,61 @@ class TestReferenceLoss:
         init = model.init_params(derive_rng(0, "init"))
         ref = reference_loss(model, tiny_mlp_data.X, tiny_mlp_data.y, init)
         assert 0.0 <= ref < model.loss(tiny_mlp_data.X, tiny_mlp_data.y, init)
+
+
+class TestBatchSolve:
+    @pytest.fixture()
+    def problems(self, tiny_sparse, tiny_mlp_data):
+        out = []
+        for task in ("lr", "svm", "mlp"):
+            ds = tiny_mlp_data if task == "mlp" else tiny_sparse
+            model = make_model(task, ds)
+            init = model.init_params(derive_rng(0, f"init/{task}"))
+            out.append((model, ds.X, ds.y, init, f"batch/{task}"))
+        return out
+
+    def test_batch_equals_per_key_solves(
+        self, problems, tmp_path, monkeypatch, started_processes
+    ):
+        """One batch is placement only: inline, on a transient pool and
+        on the warm pool its values and its disk-cache bytes equal those
+        of one reference_loss call per key."""
+        shutdown_grid_pool()
+
+        def cache_in(name):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            clear_reference_cache()
+            return tmp_path / name / "reference_losses.json"
+
+        per_key_path = cache_in("per-key")
+        with monkeypatch.context() as m:
+            m.setattr(refmod, "_usable_cpus", lambda: 1)
+            per_key = [reference_loss(*p[:4], key=p[4]) for p in problems]
+            path = cache_in("inline")
+            assert refmod.reference_losses(problems) == per_key
+            assert path.read_bytes() == per_key_path.read_bytes()
+        assert not started_processes
+
+        path = cache_in("transient")
+        assert refmod.reference_losses(problems) == per_key
+        assert path.read_bytes() == per_key_path.read_bytes()
+        width = min(3 * refmod._MEMBERS, refmod._usable_cpus())
+        assert len(started_processes) == (width if width > 1 else 0)
+        assert mp.active_children() == []  # the transient pool is gone
+
+        warm, _created = acquire_pool(2, shared=False, specs=(), descriptors=())
+        try:
+            path = cache_in("warm")
+            assert refmod.reference_losses(problems) == per_key
+            assert path.read_bytes() == per_key_path.read_bytes()
+            assert len(warm.workers) == 2  # the batch ran on the warm pool
+        finally:
+            shutdown_grid_pool()
+
+    def test_cached_keys_are_not_solved(self, problems, monkeypatch):
+        clear_reference_cache()
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        refmod.seed_reference_cache({p[4]: 0.25 for p in problems})
+        monkeypatch.setattr(refmod, "_solve_batch", None)  # a solve would raise
+        assert refmod.reference_losses(problems) == [0.25] * len(problems)
+        clear_reference_cache()

@@ -1,18 +1,11 @@
 """Tests for the statistics helpers (Welford, dispersion, geo-mean)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.stats import (
-    RunningStats,
-    dispersion_ratio,
-    geometric_mean,
-    percentile_summary,
-)
+from repro.utils.stats import RunningStats, dispersion_ratio, geometric_mean
 
 
 class TestRunningStats:
@@ -87,13 +80,3 @@ class TestDispersionRatio:
     def test_never_below_one(self):
         # negative values drag the mean below max but floor is 1.0
         assert dispersion_ratio(np.array([1.0, 1.0])) == 1.0
-
-
-class TestPercentileSummary:
-    def test_keys_and_ordering(self, rng):
-        s = percentile_summary(rng.standard_normal(100))
-        assert s["min"] <= s["p25"] <= s["median"] <= s["p75"] <= s["max"]
-
-    def test_empty_returns_nans(self):
-        s = percentile_summary(np.array([]))
-        assert all(math.isnan(v) for v in s.values())
