@@ -36,9 +36,9 @@ serial path:
   (``repro.experiments.shared_data``), and reference optima are solved
   once per (task, dataset), every cold pair of a grid in one batch on
   the same workers — persisted through the result store — and shipped
-  to workers in the payload.  All three are
-  pure placement optimisations: the numbers are bit-identical with any
-  of them disabled (``shared_data=False`` falls back to per-worker
+  to workers in the payload.  All three are pure placement
+  optimisations: the numbers are bit-identical with any of them
+  disabled (``shared_data=False`` falls back to per-worker
   materialisation over copy-on-write fork memory).
 
 There is **one runner**: an event loop in the parent over the warm
